@@ -35,9 +35,11 @@
 ///    `index::PreparedRepository` (built once here, or passed in prebuilt
 ///    and amortized across many queries) generates the top-C candidates per
 ///    query element, and workers only score those — the non-exhaustive S2
-///    restriction. With C ≥ every schema size the candidate lists are
-///    complete and the answers are again identical to the dense path;
-///    smaller C trades certified-measurable recall for speed
+///    restriction. Generation itself scores cells on the same worker
+///    count, with output identical to a one-thread run. With C ≥ every
+///    schema size the candidate lists are complete and the answers are
+///    again identical to the dense path; smaller C trades
+///    certified-measurable recall for speed
 ///    (`index::QueryCandidates::SkipLowerBound`).
 ///
 /// The sparse path has a third, *bound-driven* flavor (`adaptive` set):

@@ -1,9 +1,8 @@
 #include "engine/similarity_matrix_pool.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 
+#include "common/parallel_for.h"
 #include "sim/prepared_kernel.h"
 
 /// \file similarity_matrix_pool.cc
@@ -27,11 +26,8 @@ Result<SimilarityMatrixPool> SimilarityMatrixPool::Build(
   pool.matrices_.resize(repo.schema_count());
   pool.schema_sizes_.resize(repo.schema_count());
 
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
   num_threads = std::max<size_t>(
-      1, std::min(num_threads, std::max<size_t>(1, repo.schema_count())));
+      1, std::min(ResolveThreadCount(num_threads), repo.schema_count()));
 
   // Workers claim whole schemas off a shared counter; each matrix is
   // written by exactly one thread, so no locking is needed. Every worker
@@ -42,58 +38,46 @@ Result<SimilarityMatrixPool> SimilarityMatrixPool::Build(
   // bitmask table) loads once per row and the row runs through the
   // SoA/SIMD pipeline. Values are bit-identical to
   // `match::ComputeNodeCost` — the kernel is the same scorer.
-  std::atomic<size_t> next_schema{0};
-  auto fill = [&]() {
+  struct Scratch {
     sim::TokenTable interner;
-    std::vector<sim::PreparedName> prepared_query;
-    prepared_query.reserve(preorder.size());
-    for (schema::NodeId id : preorder) {
-      prepared_query.push_back(
-          sim::PrepareName(query.node(id).name, options.name, &interner));
-    }
-    std::vector<sim::PreparedName> prepared_target;
+    std::vector<sim::PreparedName> query, target;
     std::vector<const sim::PreparedName*> target_ptrs;
     std::vector<sim::CutoffScore> row;
-    for (size_t si = next_schema.fetch_add(1); si < repo.schema_count();
-         si = next_schema.fetch_add(1)) {
-      const schema::Schema& s = repo.schema(static_cast<int32_t>(si));
-      std::vector<double>& matrix = pool.matrices_[si];
-      pool.schema_sizes_[si] = s.size();
-      matrix.resize(preorder.size() * s.size());
-      prepared_target.clear();
-      prepared_target.reserve(s.size());
-      for (size_t node = 0; node < s.size(); ++node) {
-        prepared_target.push_back(
-            sim::PrepareName(s.node(static_cast<schema::NodeId>(node)).name,
-                             options.name, &interner));
-      }
-      target_ptrs.clear();
-      target_ptrs.reserve(s.size());
-      for (const sim::PreparedName& t : prepared_target) {
-        target_ptrs.push_back(&t);
-      }
-      row.resize(s.size());
-      for (size_t pos = 0; pos < preorder.size(); ++pos) {
-        const schema::SchemaNode& q = query.node(preorder[pos]);
-        sim::BlockScorer scorer(prepared_query[pos], options.name);
-        scorer.ScoreMany(target_ptrs, /*min_score=*/0.0, row.data());
-        for (size_t node = 0; node < s.size(); ++node) {
-          matrix[pos * s.size() + node] = match::ApplyTypePenalty(
-              1.0 - row[node].score, q,
-              s.node(static_cast<schema::NodeId>(node)), options);
-        }
+  };
+  std::vector<Scratch> scratch(num_threads);
+  ParallelFor(repo.schema_count(), num_threads, [&](size_t si, size_t w) {
+    Scratch& x = scratch[w];
+    if (x.query.empty()) {  // the worker's first schema
+      for (schema::NodeId id : preorder) {
+        x.query.push_back(
+            sim::PrepareName(query.node(id).name, options.name, &x.interner));
       }
     }
-  };
-
-  if (num_threads == 1) {
-    fill();
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(num_threads);
-    for (size_t i = 0; i < num_threads; ++i) workers.emplace_back(fill);
-    for (std::thread& w : workers) w.join();
-  }
+    const schema::Schema& s = repo.schema(static_cast<int32_t>(si));
+    std::vector<double>& matrix = pool.matrices_[si];
+    pool.schema_sizes_[si] = s.size();
+    matrix.resize(preorder.size() * s.size());
+    x.target.clear();
+    x.target.reserve(s.size());
+    for (size_t node = 0; node < s.size(); ++node) {
+      x.target.push_back(
+          sim::PrepareName(s.node(static_cast<schema::NodeId>(node)).name,
+                           options.name, &x.interner));
+    }
+    x.target_ptrs.clear();
+    for (const sim::PreparedName& t : x.target) x.target_ptrs.push_back(&t);
+    x.row.resize(s.size());
+    for (size_t pos = 0; pos < preorder.size(); ++pos) {
+      const schema::SchemaNode& q = query.node(preorder[pos]);
+      sim::BlockScorer scorer(x.query[pos], options.name);
+      scorer.ScoreMany(x.target_ptrs, /*min_score=*/0.0, x.row.data());
+      for (size_t node = 0; node < s.size(); ++node) {
+        matrix[pos * s.size() + node] = match::ApplyTypePenalty(
+            1.0 - x.row[node].score, q,
+            s.node(static_cast<schema::NodeId>(node)), options);
+      }
+    }
+  });
 
   pool.stats_.schema_count = repo.schema_count();
   pool.stats_.threads_used = num_threads;

@@ -4,8 +4,12 @@
 #include <cassert>
 #include <limits>
 #include <map>
+#include <numeric>
+#include <optional>
+#include <span>
 #include <utility>
 
+#include "common/parallel_for.h"
 #include "sim/prepared_kernel.h"
 #include "sim/synonyms.h"
 
@@ -49,16 +53,21 @@ struct Retrieved {
 struct WandTerm {
   int32_t list = -1;
   uint32_t qmult = 0;
-  /// Resume hint: where the previous cell's range ended in this term's
-  /// list. Cells are scored in ascending ordinal order within a position,
-  /// so the hint is usually exactly the next cell's lower bound; it is
-  /// validated in O(1) and falls back to a binary search when stale
-  /// (adaptive escalation rounds revisit cells out of order).
-  const TrigramPosting* hint = nullptr;
 };
 
+/// Resume hints of one position's WAND terms, one per term: where the
+/// previous cell's range ended in that term's list. Cells are scored in
+/// ascending ordinal order within a position, so a hint is usually exactly
+/// the next cell's lower bound; it is validated in O(1) and falls back to
+/// a binary search when stale (escalation rounds skip cells, and a worker
+/// starts each batch of cells wherever its last batch ended). Hints only
+/// save time — every result is independent of them — and the traversal
+/// writes them, so each scoring worker keeps its own.
+using WandHints = std::vector<const TrigramPosting*>;
+
 /// Retrieval results of one query position, valid for every schema and —
-/// in adaptive generation — every escalation round.
+/// in adaptive generation — every escalation round. Read-only once built:
+/// every scoring worker shares it.
 struct PositionRetrieval {
   /// Lookup-only preparation against the index's shared interner.
   sim::PreparedName prepared;
@@ -101,9 +110,9 @@ bool CellComplete(double skip_bound, double weight_name, double normalizer,
              delta_threshold + kCertifyMargin;
 }
 
-/// The shared generation machinery: retrieval scratch plus the max-heap /
-/// cutoff cell scorer. One instance per Generate/GenerateAdaptive call;
-/// not thread-safe (the scratch is reused across cells).
+/// The generation machinery: retrieval scratch plus the max-heap / cutoff
+/// cell scorer. Not thread-safe — the scratch is reused across cells — so
+/// each scoring worker of a `GenerationRun` owns one instance.
 class GenerationEngine {
  public:
   GenerationEngine(const PreparedRepository* prepared,
@@ -115,9 +124,6 @@ class GenerationEngine {
         trigram_weight_share_(trigram_weight_share),
         cutoff_enabled_(cutoff_enabled),
         block_max_(block_max_enabled) {
-    const size_t element_count = prepared_->element_count();
-    shared_.assign(element_count, 0);
-    strong_.assign(element_count, 0);
     size_t max_schema_size = 0;
     for (const schema::Schema& s : prepared_->repo().schemas()) {
       max_schema_size = std::max(max_schema_size, s.size());
@@ -130,6 +136,11 @@ class GenerationEngine {
   /// tokens, token synonym groups, equal folded names, whole-name synonym
   /// groups), grouped by schema.
   void Retrieve(const schema::SchemaNode& qnode, PositionRetrieval* out) {
+    // Allocated on first use: only the retrieving engine needs them.
+    if (shared_.empty()) {
+      shared_.assign(prepared_->element_count(), 0);
+      strong_.assign(prepared_->element_count(), 0);
+    }
     out->prepared = sim::PrepareName(qnode.name, objective_->name,
                                      prepared_->token_table());
     out->hits.clear();
@@ -240,9 +251,10 @@ class GenerationEngine {
   /// \brief Scores one (position, schema) cell at `limit` and writes its
   /// entries and skip-bound. Idempotent and limit-monotone (a larger limit
   /// keeps a superset of candidates with a no-smaller bound); re-invoked by
-  /// the adaptive path on escalation. Returns the number of candidates
+  /// the adaptive path on escalation. `hints` are the caller's resume
+  /// hints for `retrieval`'s WAND terms. Returns the number of candidates
   /// scored — the budget this call spent.
-  size_t ScoreCell(PositionRetrieval& retrieval,
+  size_t ScoreCell(const PositionRetrieval& retrieval, WandHints& hints,
                    sim::BlockScorer& scorer, const schema::SchemaNode& qnode,
                    int32_t schema_index, size_t limit,
                    std::vector<match::CandidateEntry>* cell_entries,
@@ -291,7 +303,8 @@ class GenerationEngine {
     if (block_max_) {
       const size_t wand_target =
           strong_count >= limit ? 0 : limit - strong_count;
-      wand_dice_cap = SelectWandCandidates(retrieval, first, end, wand_target);
+      wand_dice_cap =
+          SelectWandCandidates(retrieval, hints, first, end, wand_target);
     }
 
     // Pad to C with unretrieved elements: same declared type first, then
@@ -461,8 +474,9 @@ class GenerationEngine {
   /// the exact Dice quotients — so the selected set is identical to the
   /// classic retrieve-everything top-k (tests compare the two paths
   /// bit-for-bit).
-  double SelectWandCandidates(PositionRetrieval& retrieval, uint32_t first,
-                              uint32_t end, size_t k_target) {
+  double SelectWandCandidates(const PositionRetrieval& retrieval,
+                              WandHints& hints, uint32_t first, uint32_t end,
+                              size_t k_target) {
     auto below = [](const TrigramPosting& p, uint32_t ordinal) {
       return p.ordinal < ordinal;
     };
@@ -470,11 +484,11 @@ class GenerationEngine {
     // is exactly the lower bound of `first` (the common case — cells are
     // visited in ascending ordinal order, so each list is swept linearly
     // across a position's cells), else a binary search.
-    auto resolve_lo = [&](const WandTerm& term,
+    auto resolve_lo = [&](const TrigramPosting* hint,
                           const std::span<const TrigramPosting>& list) {
       const TrigramPosting* const begin = list.data();
       const TrigramPosting* const lend = begin + list.size();
-      const TrigramPosting* lo = term.hint;
+      const TrigramPosting* lo = hint;
       if (lo == nullptr || (lo != lend && lo->ordinal < first) ||
           (lo != begin && (lo - 1)->ordinal >= first)) {
         lo = std::lower_bound(begin, lend, first, below);
@@ -503,16 +517,17 @@ class GenerationEngine {
     if (k_target > 0 && end - first <= kTrigramBlockSize) {
       const uint32_t width = end - first;
       wand_dense_.assign(width, 0u);
-      for (WandTerm& term : retrieval.wand_terms) {
+      for (size_t t = 0; t < retrieval.wand_terms.size(); ++t) {
+        const WandTerm& term = retrieval.wand_terms[t];
         const std::span<const TrigramPosting> list =
             prepared_->TrigramListPostings(term.list);
         const TrigramPosting* const lend = list.data() + list.size();
-        const TrigramPosting* p = resolve_lo(term, list);
+        const TrigramPosting* p = resolve_lo(hints[t], list);
         for (; p != lend && p->ordinal < end; ++p) {
           wand_dense_[p->ordinal - first] +=
               std::min(term.qmult, static_cast<uint32_t>(p->count));
         }
-        term.hint = p;
+        hints[t] = p;
       }
       wand_heap_.clear();
       bool excluded_any = false;
@@ -542,13 +557,14 @@ class GenerationEngine {
 
     wand_cursors_.clear();
     uint32_t cell_tc_floor = std::numeric_limits<uint32_t>::max();
-    for (WandTerm& term : retrieval.wand_terms) {
+    for (size_t t = 0; t < retrieval.wand_terms.size(); ++t) {
+      const WandTerm& term = retrieval.wand_terms[t];
       const std::span<const TrigramPosting> list =
           prepared_->TrigramListPostings(term.list);
-      const TrigramPosting* lo = resolve_lo(term, list);
+      const TrigramPosting* lo = resolve_lo(hints[t], list);
       const TrigramPosting* hi =
           std::lower_bound(lo, list.data() + list.size(), end, below);
-      term.hint = hi;
+      hints[t] = hi;
       if (lo == hi) continue;
       const TrigramBlockSpans blocks = prepared_->TrigramBlocks(term.list);
       WandCursor cursor;
@@ -744,6 +760,103 @@ class GenerationEngine {
   std::vector<uint32_t> wand_dense_;
 };
 
+/// One Generate/GenerateAdaptive call: the per-position retrieval (run
+/// once, then shared read-only) and one `GenerationEngine` plus resume
+/// hints per scoring worker, scoring batches of cells on up to `threads`
+/// threads (0 ⇒ hardware concurrency). A cell's result depends only on the retrieval and its limit —
+/// never on which worker scores it, in what order, or the hints — so any
+/// split of a batch writes exactly what the one-thread run writes.
+class GenerationRun {
+ public:
+  GenerationRun(const PreparedRepository* prepared,
+                const match::ObjectiveOptions* objective,
+                double trigram_weight_share, bool cutoff_enabled,
+                bool block_max_enabled, size_t threads,
+                const schema::Schema& query,
+                std::vector<QueryCandidates::Cell>* cells)
+      : objective_(objective),
+        schema_count_(prepared->repo().schema_count()),
+        cells_(cells) {
+    for (size_t w = 0; w < ResolveThreadCount(threads); ++w) {
+      workers_.push_back({GenerationEngine(prepared, objective,
+                                           trigram_weight_share,
+                                           cutoff_enabled, block_max_enabled),
+                          {}});
+    }
+    for (schema::NodeId id : query.PreOrder()) {
+      qnodes_.push_back(&query.node(id));
+    }
+    retrievals_.resize(qnodes_.size());
+    for (size_t pos = 0; pos < qnodes_.size(); ++pos) {
+      workers_[0].engine.Retrieve(*qnodes_[pos], &retrievals_[pos]);
+    }
+    for (Worker& worker : workers_) {
+      worker.hints.resize(qnodes_.size());
+      for (size_t pos = 0; pos < qnodes_.size(); ++pos) {
+        worker.hints[pos].assign(retrievals_[pos].wand_terms.size(), nullptr);
+      }
+    }
+  }
+
+  /// Scores every cell `ids[i]` (ascending cell indices, position-major)
+  /// at `limits[ids[i]]`, writing its entries and skip-bound, and returns
+  /// the candidates each scored in `spent[i]`. Workers take contiguous
+  /// runs of `ids`, so each keeps one scorer per position and its hints
+  /// stay warm; a batch too small to pay for threads runs inline.
+  void Score(std::span<const size_t> ids, std::span<const size_t> limits,
+             std::vector<size_t>* spent) {
+    constexpr size_t kMinRunCells = 16;
+    constexpr size_t kRunsPerWorker = 4;
+    const size_t n = ids.size();
+    spent->resize(n);
+    const size_t runs =
+        workers_.size() == 1
+            ? 1
+            : std::clamp<size_t>(n / kMinRunCells, 1,
+                                 workers_.size() * kRunsPerWorker);
+    ParallelFor(runs, workers_.size(), [&](size_t run, size_t w) {
+      Worker& worker = workers_[w];
+      // A BlockScorer binds the thread it is built on, so it lives only
+      // inside this run.
+      std::optional<sim::BlockScorer> scorer;
+      size_t scorer_pos = qnodes_.size();
+      for (size_t i = n * run / runs; i < n * (run + 1) / runs; ++i) {
+        const size_t pos = ids[i] / schema_count_;
+        if (pos != scorer_pos) {
+          scorer.emplace(retrievals_[pos].prepared, objective_->name);
+          scorer_pos = pos;
+        }
+        QueryCandidates::Cell& cell = (*cells_)[ids[i]];
+        (*spent)[i] = worker.engine.ScoreCell(
+            retrievals_[pos], worker.hints[pos], *scorer, *qnodes_[pos],
+            static_cast<int32_t>(ids[i] % schema_count_), limits[ids[i]],
+            &cell.entries, &cell.skip_bound);
+      }
+    });
+  }
+
+ private:
+  struct Worker {
+    GenerationEngine engine;
+    /// [position][WAND term] resume hints.
+    std::vector<WandHints> hints;
+  };
+
+  const match::ObjectiveOptions* objective_;
+  size_t schema_count_;
+  std::vector<QueryCandidates::Cell>* cells_;
+  std::vector<const schema::SchemaNode*> qnodes_;
+  std::vector<PositionRetrieval> retrievals_;
+  std::vector<Worker> workers_;
+};
+
+/// Cell indices 0 … n−1: every cell of a run, in (position, schema) order.
+std::vector<size_t> AllCells(size_t n) {
+  std::vector<size_t> cells(n);
+  std::iota(cells.begin(), cells.end(), size_t{0});
+  return cells;
+}
+
 }  // namespace
 
 bool QueryCandidates::CellProvablyComplete(size_t pos, int32_t schema_index,
@@ -834,30 +947,17 @@ Result<QueryCandidates> CandidateGenerator::Generate(
   }
   SMB_RETURN_IF_ERROR(ValidateQuery(query));
 
-  const std::vector<schema::NodeId> preorder = query.PreOrder();
-  const size_t m = preorder.size();
-  const size_t schema_count = prepared_->repo().schema_count();
-
   QueryCandidates out;
   InitOutput(query, &out);
   out.limit_ = limit;
 
-  GenerationEngine engine(prepared_, &objective_, trigram_weight_share_,
-                          cutoff_enabled_, block_max_enabled_);
-  PositionRetrieval retrieval;
-  for (size_t pos = 0; pos < m; ++pos) {
-    const schema::SchemaNode& qnode = query.node(preorder[pos]);
-    engine.Retrieve(qnode, &retrieval);
-    // One scorer per query position: query-side setup (weights, PEQ
-    // bitmask scatter) loads once and every candidate of every schema
-    // scores through it.
-    sim::BlockScorer scorer(retrieval.prepared, objective_.name);
-    for (size_t si = 0; si < schema_count; ++si) {
-      QueryCandidates::Cell& cell = out.cells_[pos * schema_count + si];
-      engine.ScoreCell(retrieval, scorer, qnode, static_cast<int32_t>(si),
-                       limit, &cell.entries, &cell.skip_bound);
-    }
-  }
+  const size_t total_cells = out.cells_.size();
+  GenerationRun run(prepared_, &objective_, trigram_weight_share_,
+                    cutoff_enabled_, block_max_enabled_, num_threads_, query,
+                    &out.cells_);
+  std::vector<size_t> spent;
+  run.Score(AllCells(total_cells), std::vector<size_t>(total_cells, limit),
+            &spent);
   FinalizeCounts(&out);
   return out;
 }
@@ -883,13 +983,11 @@ Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
   SMB_RETURN_IF_ERROR(ValidateQuery(query));
 
   const schema::SchemaRepository& repo = prepared_->repo();
-  const std::vector<schema::NodeId> preorder = query.PreOrder();
-  const size_t m = preorder.size();
   const size_t schema_count = repo.schema_count();
-  const size_t total_cells = m * schema_count;
 
   QueryCandidates out;
   InitOutput(query, &out);
+  const size_t total_cells = out.cells_.size();
 
   AdaptiveGenerationStats local;
   local.cells_total = total_cells;
@@ -907,13 +1005,13 @@ Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
                                 : schema_size;
   };
 
-  GenerationEngine engine(prepared_, &objective_, trigram_weight_share_,
-                          cutoff_enabled_, block_max_enabled_);
-
-  // Retrieval state is kept per position so escalation rounds only re-run
-  // the (cheap, cutoff-pruned) scoring of the cells that need more budget.
-  std::vector<PositionRetrieval> retrievals(m);
-  std::vector<size_t> limits(total_cells, 0);
+  // Retrieval runs once per position and is reused by every round, so
+  // escalation only re-runs the (cheap, cutoff-pruned) scoring of the
+  // cells that need more budget.
+  GenerationRun run(prepared_, &objective_, trigram_weight_share_,
+                    cutoff_enabled_, block_max_enabled_, num_threads_, query,
+                    &out.cells_);
+  std::vector<size_t> limits(total_cells, policy.initial_limit);
   std::vector<uint8_t> certified(total_cells, 0);
   std::vector<uint8_t> escalated(total_cells, 0);
 
@@ -926,67 +1024,65 @@ Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
       ++certified_count;
     }
   };
-  auto target_met = [&] {
-    return static_cast<double>(certified_count) /
+  auto met_with = [&](size_t certified_cells) {
+    return static_cast<double>(certified_cells) /
                    static_cast<double>(total_cells) +
                1e-12 >=
            policy.min_provable_completeness;
   };
 
   // Round 0: every cell at the initial limit.
-  for (size_t pos = 0; pos < m; ++pos) {
-    const schema::SchemaNode& qnode = query.node(preorder[pos]);
-    engine.Retrieve(qnode, &retrievals[pos]);
-    sim::BlockScorer scorer(retrievals[pos].prepared, objective_.name);
-    for (size_t si = 0; si < schema_count; ++si) {
-      const size_t cell_index = pos * schema_count + si;
-      limits[cell_index] = policy.initial_limit;
-      QueryCandidates::Cell& cell = out.cells_[cell_index];
-      local.budget_spent += engine.ScoreCell(
-          retrievals[pos], scorer, qnode, static_cast<int32_t>(si),
-          policy.initial_limit, &cell.entries, &cell.skip_bound);
-      note_certified(cell_index);
-    }
+  std::vector<size_t> spent;
+  run.Score(AllCells(total_cells), limits, &spent);
+  for (size_t cell_index = 0; cell_index < total_cells; ++cell_index) {
+    local.budget_spent += spent[cell_index];
+    note_certified(cell_index);
   }
 
   // Escalation rounds: regenerate every uncertified, still-growable cell
-  // at `growth_factor ×` its limit; stop as soon as the certified fraction
-  // reaches the target (deterministic (position, schema) order) or no cell
-  // can grow further. Terminates: every escalation strictly grows a limit
-  // toward its finite cap.
-  while (!target_met()) {
-    bool any_escalated = false;
-    for (size_t pos = 0; pos < m && !target_met(); ++pos) {
-      bool row_has_work = false;
-      for (size_t si = 0; si < schema_count; ++si) {
-        const size_t cell_index = pos * schema_count + si;
-        if (certified[cell_index] == 0 && limits[cell_index] < cap_for(si)) {
-          row_has_work = true;
-          break;
-        }
-      }
-      if (!row_has_work) continue;
-      const schema::SchemaNode& qnode = query.node(preorder[pos]);
-      sim::BlockScorer scorer(retrievals[pos].prepared, objective_.name);
-      for (size_t si = 0; si < schema_count && !target_met(); ++si) {
-        const size_t cell_index = pos * schema_count + si;
-        const size_t cap = cap_for(si);
-        if (certified[cell_index] != 0 || limits[cell_index] >= cap) {
-          continue;
-        }
-        const size_t next_limit =
-            std::min(cap, limits[cell_index] * policy.growth_factor);
-        QueryCandidates::Cell& cell = out.cells_[cell_index];
-        local.budget_spent += engine.ScoreCell(
-            retrievals[pos], scorer, qnode, static_cast<int32_t>(si),
-            next_limit, &cell.entries, &cell.skip_bound);
-        limits[cell_index] = next_limit;
-        escalated[cell_index] = 1;
-        any_escalated = true;
-        note_certified(cell_index);
+  // at `growth_factor ×` its limit, in (position, schema) order, stopping
+  // at the first cell after which the certified fraction reaches the
+  // target, or when no cell can grow further. Terminates: every
+  // escalation strictly grows a limit toward its finite cap.
+  //
+  // Ordered commit: a round's cells are scored in chunks of `need` — the
+  // fewest further certifications that meet the target — and committed in
+  // order. An escalation certifies at most one cell, so the target cannot
+  // be met before a chunk's last cell: the cell-at-a-time loop would score
+  // every cell of the chunk too. The chunk's cells are independent, so
+  // they score in parallel, and on any thread count the run stops at the
+  // cell-at-a-time loop's cell with its budget, rounds and limits.
+  std::vector<size_t> eligible;
+  while (!met_with(certified_count)) {
+    // A cell's eligibility changes only when it is itself escalated, so
+    // the set fixed at the round's start is the set the round visits.
+    eligible.clear();
+    for (size_t cell_index = 0; cell_index < total_cells; ++cell_index) {
+      if (certified[cell_index] == 0 &&
+          limits[cell_index] < cap_for(cell_index % schema_count)) {
+        eligible.push_back(cell_index);
       }
     }
-    if (!any_escalated) break;  // every uncertified cell is at its cap
+    if (eligible.empty()) break;  // every uncertified cell is at its cap
+    for (size_t done = 0;
+         done < eligible.size() && !met_with(certified_count);) {
+      size_t need = 1;
+      while (!met_with(certified_count + need)) ++need;
+      const std::span<const size_t> chunk(
+          eligible.data() + done, std::min(need, eligible.size() - done));
+      for (size_t cell_index : chunk) {
+        limits[cell_index] =
+            std::min(cap_for(cell_index % schema_count),
+                     limits[cell_index] * policy.growth_factor);
+      }
+      run.Score(chunk, limits, &spent);
+      for (size_t i = 0; i < chunk.size(); ++i) {
+        local.budget_spent += spent[i];
+        escalated[chunk[i]] = 1;
+        note_certified(chunk[i]);
+      }
+      done += chunk.size();
+    }
     ++local.rounds;
   }
 

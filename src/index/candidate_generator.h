@@ -44,6 +44,15 @@
 /// assignments whose cost exceeds `delta·normalizer + 1e-12`, and
 /// certification requires the skipped cost to exceed that by ≥ 1e-9 in
 /// normalized Δ units).
+///
+/// **Threading.** Both entry points score cells on `set_num_threads`
+/// workers (default 1). Retrieval runs once per query position and is
+/// shared read-only; each worker owns its scoring scratch and its own
+/// postings resume hints, and takes contiguous (position, schema) runs of
+/// cells. A cell's entries and skip-bound depend only on the retrieval and
+/// its limit, so the output — every entry, cost and bound, and every
+/// `AdaptiveGenerationStats` field — is byte-identical for every thread
+/// count.
 
 namespace smb::index {
 
@@ -102,15 +111,16 @@ class QueryCandidates : public match::CandidateProvider {
   /// to the dense ones.
   double ProvablyCompleteFraction(double delta_threshold) const;
 
- private:
-  friend class CandidateGenerator;
-
+  /// One (position, schema) cell as the generator writes it.
   struct Cell {
     std::vector<match::CandidateEntry> entries;
     /// Admissible lower bound on the node cost of any unlisted target;
     /// +infinity when the list covers the whole schema.
     double skip_bound = 0.0;
   };
+
+ private:
+  friend class CandidateGenerator;
 
   std::vector<Cell> cells_;
   size_t positions_ = 0;
@@ -197,6 +207,16 @@ class CandidateGenerator {
   /// `Generate`, so kept candidate costs stay bit-identical to the dense
   /// pool's. `stats`, when non-null, receives the spent budget and the
   /// achieved bound.
+  ///
+  /// Round 0 scores every cell in parallel. An escalation round visits
+  /// its cells in (position, schema) order and stops at the first cell
+  /// after which the target is met; to stop at that same cell on any
+  /// thread count, it scores the round in ordered chunks of `need` cells —
+  /// the fewest further certifications that would meet the target — in
+  /// parallel, then commits each chunk in order. An escalation certifies
+  /// at most one cell, so the serial loop scores every cell of such a
+  /// chunk too: no work is speculative, and with one thread this is the
+  /// cell-at-a-time loop.
   Result<QueryCandidates> GenerateAdaptive(
       const schema::Schema& query, const AdaptiveCandidatePolicy& policy,
       double delta_threshold, AdaptiveGenerationStats* stats = nullptr) const;
@@ -221,6 +241,11 @@ class CandidateGenerator {
   /// admissible. Disable to use the classic path as the oracle.
   void set_block_max_enabled(bool enabled) { block_max_enabled_ = enabled; }
 
+  /// \brief Worker threads that score cells (0 ⇒ hardware concurrency;
+  /// default 1, which scores inline on the calling thread). The output is
+  /// identical for every value.
+  void set_num_threads(size_t threads) { num_threads_ = threads; }
+
  private:
   Status ValidateQuery(const schema::Schema& query) const;
   void InitOutput(const schema::Schema& query, QueryCandidates* out) const;
@@ -236,6 +261,7 @@ class CandidateGenerator {
   double trigram_weight_share_ = 0.0;
   bool cutoff_enabled_ = true;
   bool block_max_enabled_ = true;
+  size_t num_threads_ = 1;
 };
 
 }  // namespace smb::index

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "match/beam_matcher.h"
 #include "match/cluster_matcher.h"
 #include "match/exhaustive_matcher.h"
@@ -224,6 +226,64 @@ TEST(BatchMatchEngineTest, MatcherWithProviderAgreesWithoutProvider) {
   auto shared = matcher.Match(query, repo, with_pool);
   ASSERT_TRUE(shared.ok()) << shared.status();
   ExpectSameAnswers(*shared, *lazy);
+}
+
+TEST(BatchMatchEngineTest, AdaptiveGenerationIdenticalAcrossThreadCounts) {
+  // Candidate generation runs on the engine's threads; at a target short
+  // of 1.0 escalation stops at the first cell that meets it, and that stop
+  // point — hence the lists, the certificate and the budget — must not
+  // depend on how many threads scored the cells.
+  Rng rng(19);
+  synth::SynthOptions sopts;
+  sopts.num_schemas = 80;
+  synth::SyntheticCollection collection =
+      synth::GenerateProblem(5, sopts, &rng).value();
+  match::MatchOptions mopts;
+  mopts.delta_threshold = 0.25;
+  match::TopKMatcher matcher(match::TopKMatcherOptions{10, 100000});
+
+  std::optional<match::AnswerSet> reference;
+  BatchMatchStats reference_stats;
+  for (size_t threads : {1u, 2u, 4u}) {
+    BatchMatchOptions bopts;
+    bopts.num_threads = threads;
+    bopts.shard_size = 7;  // same shards for every thread count
+    bopts.adaptive = index::AdaptiveCandidatePolicy{};
+    bopts.adaptive->min_provable_completeness = 0.9;
+    BatchMatchEngine engine(bopts);
+    BatchMatchStats stats;
+    auto answers = engine.Run(matcher, collection.query,
+                              collection.repository, mopts, &stats);
+    ASSERT_TRUE(answers.ok()) << answers.status();
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_TRUE(stats.adaptive_mode);
+    if (!reference) {
+      // Escalation ran and stopped at the cell that met the target.
+      EXPECT_GT(stats.adaptive.rounds, 0u);
+      EXPECT_EQ(stats.adaptive.cells_certified,
+                stats.adaptive.cells_total * 9 / 10);
+      reference = std::move(answers).value();
+      reference_stats = stats;
+      continue;
+    }
+    ExpectSameAnswers(*answers, *reference);
+    EXPECT_EQ(stats.provably_complete_fraction,
+              reference_stats.provably_complete_fraction);
+    EXPECT_EQ(stats.shard_candidates_generated,
+              reference_stats.shard_candidates_generated);
+    EXPECT_EQ(stats.match.candidates_generated,
+              reference_stats.match.candidates_generated);
+    const index::AdaptiveGenerationStats& got = stats.adaptive;
+    const index::AdaptiveGenerationStats& want = reference_stats.adaptive;
+    EXPECT_EQ(got.rounds, want.rounds);
+    EXPECT_EQ(got.cells_total, want.cells_total);
+    EXPECT_EQ(got.cells_certified, want.cells_certified);
+    EXPECT_EQ(got.cells_escalated, want.cells_escalated);
+    EXPECT_EQ(got.cells_at_cap, want.cells_at_cap);
+    EXPECT_EQ(got.budget_spent, want.budget_spent);
+    EXPECT_EQ(got.achieved_completeness, want.achieved_completeness);
+    EXPECT_EQ(got.final_limit_distribution, want.final_limit_distribution);
+  }
 }
 
 }  // namespace
