@@ -147,7 +147,6 @@ Result<match::AnswerSet> BatchMatchEngine::Run(
       prepared = &*owned_prepared;
     }
     index::CandidateGenerator generator(prepared, match_options.objective);
-    generator.set_block_max_enabled(options_.block_max_postings);
     generator.set_num_threads(threads);
     Result<index::QueryCandidates> generated =
         adaptive ? generator.GenerateAdaptive(query, *options_.adaptive,

@@ -87,11 +87,6 @@ struct BatchMatchOptions {
   /// dense path for every matcher and thread count. Non-shardable matchers
   /// fall back to a full dense run exactly as in fixed sparse mode.
   std::optional<index::AdaptiveCandidatePolicy> adaptive;
-  /// Block-max (WAND) trigram postings traversal in the sparse candidate
-  /// generator (on by default). Selected candidates — and therefore match
-  /// answers — are identical either way; disabling falls back to the
-  /// classic retrieve-everything walk, kept as the correctness oracle.
-  bool block_max_postings = true;
 };
 
 /// \brief What a batch run did (timings in seconds, wall clock).

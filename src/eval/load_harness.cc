@@ -18,8 +18,10 @@ namespace {
 
 /// One replay thread's view: executes indices `t, t+N, t+2N, ...` in
 /// trace order, sleeping until each request's (scaled) arrival instant in
-/// open-loop mode. Writes only its own slots of `outcomes`/`wall_ms`, so
-/// the workers share nothing but the executor.
+/// open-loop mode. A paced request is timed from that arrival, not from
+/// its dispatch, so a request stuck behind a slow one on its thread is
+/// charged the wait (no coordinated omission). Writes only its own slots
+/// of `outcomes`/`wall_ms`, so the workers share nothing but the executor.
 void ReplayWorker(const WorkloadTrace& trace, TraceExecutor* executor,
                   const ReplayOptions& options, size_t thread_index,
                   SteadyClock::time_point start,
@@ -29,16 +31,17 @@ void ReplayWorker(const WorkloadTrace& trace, TraceExecutor* executor,
   for (uint64_t i = thread_index; i < trace.requests.size();
        i += options.num_threads) {
     const TraceRequest& request = trace.requests[i];
+    SteadyClock::time_point timed_from = SteadyClock::now();
     if (paced) {
-      const auto arrival =
+      const SteadyClock::time_point arrival =
           start + std::chrono::microseconds(static_cast<uint64_t>(
                       static_cast<double>(request.arrival_us) /
                       options.speed));
       std::this_thread::sleep_until(arrival);
+      timed_from = arrival;
     }
-    const SteadyClock::time_point dispatched = SteadyClock::now();
     (*outcomes)[i] = executor->Execute(i, request);
-    (*wall_ms)[i] = SecondsSince(dispatched) * 1e3;
+    (*wall_ms)[i] = SecondsSince(timed_from) * 1e3;
   }
 }
 

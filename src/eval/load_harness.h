@@ -117,7 +117,9 @@ struct LoadReplayReport {
   double cache_hit_rate = 0.0;
   /// Shed / ok.
   double shed_fraction = 0.0;
-  /// Client-observed wall latency (dispatch to response), milliseconds.
+  /// Client-observed wall latency, milliseconds: from the scheduled
+  /// arrival in paced open-loop mode (queueing behind a slow request on
+  /// the same replay thread counts), else from dispatch, to the response.
   PercentileSummary latency_ms;
   /// Server-reported service latency, milliseconds.
   PercentileSummary service_latency_ms;

@@ -2,9 +2,11 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdlib>
 #include <utility>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "common/zipf.h"
 #include "io/binary_io.h"
 
@@ -184,6 +186,20 @@ Status SaveTrace(const std::string& path, const WorkloadTrace& trace) {
 Result<WorkloadTrace> LoadTrace(const std::string& path) {
   SMB_ASSIGN_OR_RETURN(std::string bytes, io::ReadBinaryFile(path));
   return DecodeTrace(bytes);
+}
+
+Result<std::vector<double>> ParseTargetMix(const std::string& text) {
+  std::vector<double> mix;
+  if (text.empty()) return mix;
+  for (const std::string& piece : Split(text, ',')) {
+    char* end = nullptr;
+    const double bound = std::strtod(piece.c_str(), &end);
+    if (end == piece.c_str() || *end != '\0') {
+      return Status::InvalidArgument("bad target mix entry '" + piece + "'");
+    }
+    mix.push_back(bound);
+  }
+  return mix;
 }
 
 Result<WorkloadTrace> GenerateTrace(std::vector<std::string> query_files,

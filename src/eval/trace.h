@@ -116,6 +116,10 @@ struct TraceGenOptions {
   uint64_t seed = 1;
 };
 
+/// \brief Parses a comma-separated target-bound mix ("0,0.85,0.95"; empty
+/// text = empty mix) for `TraceGenOptions::target_mix`.
+Result<std::vector<double>> ParseTargetMix(const std::string& text);
+
 /// \brief Generates a Zipf-repetition, Poisson-arrival trace over
 /// `query_files` (the distinct query schemas; must be non-empty).
 Result<WorkloadTrace> GenerateTrace(std::vector<std::string> query_files,

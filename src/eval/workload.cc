@@ -6,7 +6,6 @@
 
 #include "common/timing.h"
 #include "index/prepared_repository.h"
-#include "index/snapshot.h"
 
 /// \file workload.cc
 /// \brief Workload runner: repository + query batch through a matcher to
@@ -60,8 +59,8 @@ Result<IndexedWorkloadResult> RunIndexedWorkload(
   if (problems.empty()) {
     return Status::InvalidArgument("workload has no matching problems");
   }
-  if (!workload_options.adaptive.has_value() &&
-      workload_options.candidate_limit == 0) {
+  engine::BatchMatchOptions sparse_opts = workload_options.engine;
+  if (!sparse_opts.adaptive.has_value() && sparse_opts.candidate_limit == 0) {
     return Status::InvalidArgument(
         "candidate_limit must be positive (or set `adaptive` for the "
         "bound-driven mode)");
@@ -70,48 +69,15 @@ Result<IndexedWorkloadResult> RunIndexedWorkload(
   IndexedWorkloadResult result;
   result.system_name = matcher.name();
 
-  // Prepare once: the query-independent index every query shares. In
-  // snapshot mode a previous run's prepared form is loaded from disk;
-  // only a *missing* file falls back to build-then-save — a snapshot that
-  // exists but fails to load (corruption, option or repository mismatch)
-  // is a hard error, so results can never silently come from a different
-  // index than the caller asked for.
-  std::optional<index::PreparedRepository> prepared_storage;
-  if (!workload_options.snapshot_path.empty()) {
-    Clock::time_point load_start = Clock::now();
-    auto loaded = index::LoadSnapshot(workload_options.snapshot_path, repo,
-                                      options.objective.name,
-                                      workload_options.num_threads);
-    if (loaded.ok()) {
-      result.index_load_seconds = SecondsSince(load_start);
-      result.loaded_from_snapshot = true;
-      prepared_storage = std::move(loaded).value();
-    } else if (loaded.status().code() != StatusCode::kNotFound) {
-      return loaded.status();
-    }
-  }
-  if (!prepared_storage.has_value()) {
+  // Prepare once: the query-independent index every query shares.
+  std::optional<index::PreparedRepository> built;
+  if (sparse_opts.prepared_repository == nullptr) {
     Clock::time_point build_start = Clock::now();
     SMB_ASSIGN_OR_RETURN(
-        prepared_storage,
-        index::PreparedRepository::Build(repo, options.objective.name));
+        built, index::PreparedRepository::Build(repo, options.objective.name));
     result.index_build_seconds = SecondsSince(build_start);
-    if (!workload_options.snapshot_path.empty()) {
-      Clock::time_point save_start = Clock::now();
-      SMB_RETURN_IF_ERROR(index::SaveSnapshot(
-          *prepared_storage, workload_options.snapshot_path));
-      result.snapshot_save_seconds = SecondsSince(save_start);
-    }
+    sparse_opts.prepared_repository = &*built;
   }
-  index::PreparedRepository& prepared = *prepared_storage;
-
-  engine::BatchMatchOptions sparse_opts;
-  sparse_opts.num_threads = workload_options.num_threads;
-  sparse_opts.shard_size = workload_options.shard_size;
-  sparse_opts.global_top_k = workload_options.global_top_k;
-  sparse_opts.candidate_limit = workload_options.candidate_limit;
-  sparse_opts.adaptive = workload_options.adaptive;
-  sparse_opts.prepared_repository = &prepared;
   engine::BatchMatchEngine sparse_engine(sparse_opts);
 
   engine::BatchMatchOptions dense_opts = sparse_opts;

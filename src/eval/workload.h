@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,9 +19,9 @@
 /// matcher over every problem and aggregates.
 ///
 /// `RunIndexedWorkload` is the prepare-once/serve-many variant: one
-/// query-independent repository index is built up front and amortized over
-/// every query, each served through the batch engine's sparse candidate
-/// path. Per-query latency and — optionally — recall against the dense
+/// query-independent repository index (the caller's, or one built up
+/// front) is amortized over every query, each served through the batch
+/// engine's sparse candidate path. Per-query latency and — optionally — recall against the dense
 /// (index-free) run of the same matcher are reported, so the candidate
 /// cutoff C becomes a measurable S2 knob for the bounds pipeline.
 
@@ -63,30 +62,20 @@ std::vector<size_t> PooledSizes(const WorkloadResult& result,
 
 /// \brief Configuration of an indexed (prepare-once/serve-many) workload.
 struct IndexedWorkloadOptions {
-  /// Candidates per (query element, schema) — the S2 selectivity knob C.
-  /// Ignored (and allowed to stay 0) when `adaptive` is set.
-  size_t candidate_limit = 16;
-  /// Bound-driven mode: when set, every query's candidate lists grow per
-  /// cell until the skip-bound certifies
-  /// `adaptive->min_provable_completeness` at the run's Δ threshold (see
-  /// `index::AdaptiveCandidatePolicy`); per-query budget and achieved
-  /// bound are reported in `QueryRunReport`.
-  std::optional<index::AdaptiveCandidatePolicy> adaptive;
-  /// Worker threads per query (0 ⇒ hardware concurrency).
-  size_t num_threads = 1;
-  /// Schemas per shard (0 = heuristic).
-  size_t shard_size = 0;
-  /// Keep only the globally best k answers per query (0 = all).
-  size_t global_top_k = 0;
+  /// The sparse engine run every query goes through: threads, shard size,
+  /// global top-k, and either a fixed `candidate_limit` (the S2
+  /// selectivity knob C; must be positive) or an `adaptive` policy, under
+  /// which every query's candidate lists grow per cell until the
+  /// skip-bound certifies `adaptive->min_provable_completeness` at the
+  /// run's Δ threshold (per-query budget and achieved bound are reported
+  /// in `QueryRunReport`). `prepared_repository` is the shared index — it
+  /// must cover the workload's repository under the run's scorer options
+  /// (`serve::OpenServingIndex` opens one from a snapshot); null = build
+  /// one here, once.
+  engine::BatchMatchOptions engine;
   /// Also run each query through the dense path and report recall of the
   /// dense answers (and of the dense top-1) in the sparse answer set.
   bool compare_dense = false;
-  /// Snapshot mode: when non-empty, the repository index is *loaded* from
-  /// this file if it exists (a mismatched or corrupted snapshot is a hard
-  /// error — never a silent rebuild with possibly different semantics),
-  /// and otherwise built from the repository and saved here for the next
-  /// run. The result then reports load-time vs build-time.
-  std::string snapshot_path;
 };
 
 /// \brief What one query of an indexed workload did.
@@ -120,18 +109,9 @@ struct QueryRunReport {
 /// \brief Results of `RunIndexedWorkload`.
 struct IndexedWorkloadResult {
   std::string system_name;
-  /// One-time cost of building the shared repository index (0 when it was
-  /// loaded from a snapshot instead).
+  /// One-time cost of building the shared repository index (0 when the
+  /// caller supplied one through `engine.prepared_repository`).
   double index_build_seconds = 0.0;
-  /// Snapshot mode only: time to load the prepared index from disk. The
-  /// load-vs-build comparison is `index_load_seconds` against
-  /// `index_build_seconds` of a previous (building) run.
-  double index_load_seconds = 0.0;
-  /// Snapshot mode only: time to serialize + write the freshly built index
-  /// (first run, when the snapshot file did not exist yet).
-  double snapshot_save_seconds = 0.0;
-  /// True when the index came from `snapshot_path` instead of a build.
-  bool loaded_from_snapshot = false;
   /// Sparse (indexed) answers per problem, in problem order.
   std::vector<match::AnswerSet> answers;
   /// Dense answers per problem (empty unless `compare_dense`).
@@ -156,7 +136,8 @@ struct IndexedWorkloadResult {
 };
 
 /// \brief Runs `matcher` over every problem through the batch engine's
-/// sparse candidate path, building the repository index exactly once.
+/// sparse candidate path against one shared repository index (the
+/// caller's, or one built here exactly once).
 ///
 /// Problems may carry empty ground truth (recall-vs-dense is measured
 /// against the dense run, not against H); the pooled curve is computed only

@@ -2,11 +2,11 @@
 
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <utility>
 
-#include "common/strings.h"
 #include "common/table.h"
 #include "common/timing.h"
 #include "engine/query_cache.h"
@@ -14,10 +14,8 @@
 #include "harness/trace_executor.h"
 #include "io/csv.h"
 #include "schema/text_format.h"
-#include "serve/load_shed.h"
 #include "serve/match_service.h"
 #include "serve/serving_index.h"
-#include "sim/synonyms.h"
 #include "synth/stream.h"
 
 /// \file batch_runner.cc
@@ -59,30 +57,6 @@ Status CheckKnownKeys(const eval::ExperimentSpec& spec) {
     }
   }
   return Status::OK();
-}
-
-/// The builtin synonym table (mirrors the CLI: one static table shared by
-/// every experiment's scorer).
-const sim::SynonymTable& BuiltinSynonyms() {
-  static const sim::SynonymTable kSynonyms = sim::SynonymTable::Builtin();
-  return kSynonyms;
-}
-
-Result<std::vector<double>> ParseTargetMix(const eval::ExperimentSpec& spec) {
-  const std::string raw = eval::GetParam(spec, "target_mix", "");
-  std::vector<double> mix;
-  if (raw.empty()) return mix;
-  for (const std::string& piece : Split(raw, ',')) {
-    char* end = nullptr;
-    const double bound = std::strtod(piece.c_str(), &end);
-    if (end == piece.c_str() || *end != '\0') {
-      return Status::InvalidArgument("experiment '" + spec.name +
-                                     "': bad target_mix entry '" + piece +
-                                     "'");
-    }
-    mix.push_back(bound);
-  }
-  return mix;
 }
 
 Status EnsureDirectory(const std::string& dir) {
@@ -145,7 +119,12 @@ Result<ExperimentResult> RunExperiment(const eval::ExperimentSpec& spec,
     cls.deadline_ms = deadline_ms;
     trace_options.classes.push_back(cls);
   }
-  SMB_ASSIGN_OR_RETURN(trace_options.target_mix, ParseTargetMix(spec));
+  Result<std::vector<double>> target_mix =
+      eval::ParseTargetMix(GetParam(spec, "target_mix", ""));
+  if (!target_mix.ok()) {
+    return target_mix.status().WithContext("experiment '" + spec.name + "'");
+  }
+  trace_options.target_mix = *std::move(target_mix);
 
   eval::ReplayOptions replay_options;
   SMB_ASSIGN_OR_RETURN(uint64_t threads, GetParamUint(spec, "threads", 4));
@@ -172,14 +151,38 @@ Result<ExperimentResult> RunExperiment(const eval::ExperimentSpec& spec,
                        GetParamUint(spec, "candidates", 16));
   SMB_ASSIGN_OR_RETURN(double target_bound,
                        GetParamDouble(spec, "target_bound", 0.9));
-  SMB_ASSIGN_OR_RETURN(double min_target,
-                       GetParamDouble(spec, "min_target", target_bound));
   SMB_ASSIGN_OR_RETURN(uint64_t top_k, GetParamUint(spec, "top_k", 0));
   SMB_ASSIGN_OR_RETURN(uint64_t cache_capacity,
                        GetParamUint(spec, "cache_capacity", 64));
   SMB_ASSIGN_OR_RETURN(uint64_t engine_threads,
                        GetParamUint(spec, "engine_threads", 1));
   SMB_ASSIGN_OR_RETURN(double delta, GetParamDouble(spec, "delta", 0.25));
+
+  // The same assembly `matchbounds serve` runs, so batch numbers are
+  // comparable to a live deployment's.
+  engine::BatchMatchOptions engine_options;
+  engine_options.num_threads = static_cast<size_t>(engine_threads);
+  engine_options.global_top_k = static_cast<size_t>(top_k);
+  engine_options.candidate_limit = static_cast<size_t>(candidates);
+  if (policy == "target") {
+    index::AdaptiveCandidatePolicy adaptive;
+    adaptive.min_provable_completeness = target_bound;
+    engine_options.adaptive = adaptive;
+  }
+  std::optional<double> floor;
+  if (spec.params.count("min_target") > 0) {
+    SMB_ASSIGN_OR_RETURN(floor, GetParamDouble(spec, "min_target", 1.0));
+  }
+  engine::QueryResultCache cache(static_cast<size_t>(cache_capacity));
+  Result<serve::MatchServiceConfig> service_config =
+      serve::MakeMatchServiceConfig(
+          delta, GetParam(spec, "matcher", "exhaustive"),
+          match::MatcherFactoryOptions{}, engine_options, floor, &cache,
+          /*default_repo_dir=*/"");
+  if (!service_config.ok()) {
+    return service_config.status().WithContext("experiment '" + spec.name +
+                                               "'");
+  }
 
   const SteadyClock::time_point build_start = SteadyClock::now();
 
@@ -205,44 +208,11 @@ Result<ExperimentResult> RunExperiment(const eval::ExperimentSpec& spec,
     query_files.push_back(file);
   }
 
-  // Assemble the in-process service exactly like `matchbounds serve` does,
-  // so batch numbers are comparable to a live deployment's.
-  match::MatchOptions match_options;
-  match_options.delta_threshold = delta;
-  match_options.objective.name.synonyms = &BuiltinSynonyms();
-
-  serve::ServingIndexOptions index_options;
-  index_options.matcher_kind = GetParam(spec, "matcher", "exhaustive");
-  index_options.name_options = match_options.objective.name;
-  index_options.num_threads = static_cast<size_t>(engine_threads);
   SMB_ASSIGN_OR_RETURN(
       std::shared_ptr<const serve::ServingIndex> index,
-      serve::BuildServingIndex(std::move(repo), index_options,
+      serve::BuildServingIndex(std::move(repo), service_config->index_options,
                                /*generation=*/1));
-
-  serve::LoadShedPolicy shed;
-  engine::QueryResultCache cache(static_cast<size_t>(cache_capacity));
-  serve::MatchServiceConfig service_config;
-  service_config.match_options = match_options;
-  service_config.engine_options.num_threads =
-      static_cast<size_t>(engine_threads);
-  service_config.engine_options.global_top_k = static_cast<size_t>(top_k);
-  if (policy == "target") {
-    index::AdaptiveCandidatePolicy adaptive;
-    adaptive.min_provable_completeness = target_bound;
-    service_config.engine_options.adaptive = adaptive;
-    service_config.engine_options.candidate_limit = 0;
-    shed.base_target = target_bound;
-    shed.min_target = min_target;
-    SMB_RETURN_IF_ERROR(serve::ValidateLoadShedPolicy(shed));
-  } else {
-    service_config.engine_options.candidate_limit =
-        static_cast<size_t>(candidates);
-  }
-  service_config.cache = &cache;
-  service_config.shed = shed;
-  service_config.index_options = index_options;
-  serve::MatchService service(index, service_config);
+  serve::MatchService service(index, *std::move(service_config));
 
   ExperimentResult result;
   result.name = spec.name;

@@ -68,8 +68,7 @@ Status CheckOrdinals(const std::vector<uint32_t>& ordinals,
 /// \brief The one component allowed to take PreparedRepository apart and
 /// put it back together (friend of the class).
 struct SnapshotCodec {
-  static void EncodeBody(const PreparedRepository& p, uint32_t version,
-                         io::BinaryWriter* w) {
+  static void EncodeBody(const PreparedRepository& p, io::BinaryWriter* w) {
     w->WriteU32(static_cast<uint32_t>(p.repo_->schema_count()));
     w->WriteU64(p.elements_.size());
 
@@ -151,14 +150,12 @@ struct SnapshotCodec {
       w->WriteU32Vector(ordinals);
       w->WriteU16Vector(counts);
     }
-    if (version >= 2) {
-      // v2: block-max metadata over the trigram postings (derived data,
-      // stored so a load skips the rebuild pass; v1 readers never see it).
-      w->WriteU32Vector(p.trigram_block_offsets_);
-      w->WriteU32Vector(p.trigram_block_last_ordinals_);
-      w->WriteU16Vector(p.trigram_block_max_counts_);
-      w->WriteU32Vector(p.trigram_block_tc_floors_);
-    }
+    // Block-max metadata over the trigram postings (derived data, stored
+    // so a load skips the rebuild pass).
+    w->WriteU32Vector(p.trigram_block_offsets_);
+    w->WriteU32Vector(p.trigram_block_last_ordinals_);
+    w->WriteU16Vector(p.trigram_block_max_counts_);
+    w->WriteU32Vector(p.trigram_block_tc_floors_);
 
     WriteStringKeyedPostings(p.name_buckets_, w);
     WriteIntKeyedPostings(p.name_group_buckets_, w);
@@ -299,8 +296,7 @@ struct SnapshotCodec {
   }
 
   static Result<PreparedRepository> DecodeBody(
-      std::string_view body, uint32_t version,
-      const schema::SchemaRepository& repo,
+      std::string_view body, const schema::SchemaRepository& repo,
       const sim::NameSimilarityOptions& name_options, size_t num_threads) {
     io::BinaryReader r(body);
 
@@ -464,42 +460,36 @@ struct SnapshotCodec {
       }
     }
 
-    if (version >= 2) {
-      // v2: the block-max arrays come off the wire; validate their shape
-      // against the postings they summarize (every list must carry exactly
-      // ceil(length / kTrigramBlockSize) blocks) so a corrupted file can
-      // never produce out-of-bounds block spans.
-      SMB_RETURN_IF_ERROR(r.ReadIntArrayInto(&p.trigram_block_offsets_,
-                                             "trigram block offsets"));
-      SMB_RETURN_IF_ERROR(r.ReadIntArrayInto(&p.trigram_block_last_ordinals_,
-                                             "trigram block last ordinals"));
-      SMB_RETURN_IF_ERROR(r.ReadIntArrayInto(&p.trigram_block_max_counts_,
-                                             "trigram block max counts"));
-      SMB_RETURN_IF_ERROR(r.ReadIntArrayInto(&p.trigram_block_tc_floors_,
-                                             "trigram block tc floors"));
-      const size_t total_blocks = p.trigram_block_last_ordinals_.size();
-      if (p.trigram_block_offsets_.size() != p.trigram_keys_.size() + 1 ||
-          p.trigram_block_max_counts_.size() != total_blocks ||
-          p.trigram_block_tc_floors_.size() != total_blocks) {
-        return BodyError("trigram block arrays disagree in shape");
+    // The block-max arrays come off the wire; validate their shape
+    // against the postings they summarize (every list must carry exactly
+    // ceil(length / kTrigramBlockSize) blocks) so a corrupted file can
+    // never produce out-of-bounds block spans.
+    SMB_RETURN_IF_ERROR(r.ReadIntArrayInto(&p.trigram_block_offsets_,
+                                           "trigram block offsets"));
+    SMB_RETURN_IF_ERROR(r.ReadIntArrayInto(&p.trigram_block_last_ordinals_,
+                                           "trigram block last ordinals"));
+    SMB_RETURN_IF_ERROR(r.ReadIntArrayInto(&p.trigram_block_max_counts_,
+                                           "trigram block max counts"));
+    SMB_RETURN_IF_ERROR(r.ReadIntArrayInto(&p.trigram_block_tc_floors_,
+                                           "trigram block tc floors"));
+    const size_t total_blocks = p.trigram_block_last_ordinals_.size();
+    if (p.trigram_block_offsets_.size() != p.trigram_keys_.size() + 1 ||
+        p.trigram_block_max_counts_.size() != total_blocks ||
+        p.trigram_block_tc_floors_.size() != total_blocks) {
+      return BodyError("trigram block arrays disagree in shape");
+    }
+    SMB_RETURN_IF_ERROR(CheckCsrOffsets(p.trigram_block_offsets_,
+                                        total_blocks, "trigram blocks"));
+    for (size_t li = 0; li < p.trigram_keys_.size(); ++li) {
+      const size_t list_len = p.trigram_offsets_[li + 1] -
+                              p.trigram_offsets_[li];
+      const size_t blocks = p.trigram_block_offsets_[li + 1] -
+                            p.trigram_block_offsets_[li];
+      const size_t expected =
+          (list_len + kTrigramBlockSize - 1) / kTrigramBlockSize;
+      if (blocks != expected) {
+        return BodyError("trigram block counts disagree with postings");
       }
-      SMB_RETURN_IF_ERROR(CheckCsrOffsets(p.trigram_block_offsets_,
-                                          total_blocks, "trigram blocks"));
-      for (size_t li = 0; li < p.trigram_keys_.size(); ++li) {
-        const size_t list_len = p.trigram_offsets_[li + 1] -
-                                p.trigram_offsets_[li];
-        const size_t blocks = p.trigram_block_offsets_[li + 1] -
-                              p.trigram_block_offsets_[li];
-        const size_t expected =
-            (list_len + kTrigramBlockSize - 1) / kTrigramBlockSize;
-        if (blocks != expected) {
-          return BodyError("trigram block counts disagree with postings");
-        }
-      }
-    } else {
-      // v1 predates the block-max metadata — derive it from the (already
-      // validated) postings, exactly as a fresh Build would.
-      p.BuildTrigramBlocks();
     }
 
     SMB_RETURN_IF_ERROR(ReadStringKeyedPostings(&r, element_count,
@@ -593,41 +583,19 @@ struct SnapshotCodec {
   }
 };
 
-namespace {
-
-std::string EncodeSnapshotAt(const PreparedRepository& prepared,
-                             uint32_t version) {
+std::string EncodeSnapshot(const PreparedRepository& prepared) {
   io::BinaryWriter body;
-  SnapshotCodec::EncodeBody(prepared, version, &body);
+  SnapshotCodec::EncodeBody(prepared, &body);
 
   io::BinaryWriter out;
   out.WriteBytes(kSnapshotMagic);
-  out.WriteU32(version);
+  out.WriteU32(kSnapshotFormatVersion);
   out.WriteU64(match::FingerprintNameOptions(prepared.name_options()));
   out.WriteU64(match::FingerprintRepository(prepared.repo()));
   out.WriteU64(body.buffer().size());
   out.WriteU64(io::Checksum64(body.buffer()));
   out.WriteBytes(body.buffer());
   return std::move(out.TakeBuffer());
-}
-
-}  // namespace
-
-std::string EncodeSnapshot(const PreparedRepository& prepared) {
-  return EncodeSnapshotAt(prepared, kSnapshotFormatVersion);
-}
-
-Result<std::string> EncodeSnapshotForVersion(
-    const PreparedRepository& prepared, uint32_t format_version) {
-  if (format_version < kSnapshotMinFormatVersion ||
-      format_version > kSnapshotFormatVersion) {
-    return Status::InvalidArgument(
-        "cannot encode snapshot format version " +
-        std::to_string(format_version) + " — this binary writes versions " +
-        std::to_string(kSnapshotMinFormatVersion) + ".." +
-        std::to_string(kSnapshotFormatVersion));
-  }
-  return EncodeSnapshotAt(prepared, format_version);
 }
 
 Result<PreparedRepository> DecodeSnapshot(
@@ -646,13 +614,12 @@ Result<PreparedRepository> DecodeSnapshot(
         "not a matchbounds index snapshot (magic bytes mismatch)");
   }
   uint32_t version = r.ReadU32("version").value();
-  if (version < kSnapshotMinFormatVersion ||
-      version > kSnapshotFormatVersion) {
+  if (version != kSnapshotFormatVersion) {
     return Status::FailedPrecondition(
         "snapshot has format version " + std::to_string(version) +
-        " but this binary reads versions " +
-        std::to_string(kSnapshotMinFormatVersion) + ".." +
-        std::to_string(kSnapshotFormatVersion) + " — rebuild the snapshot");
+        " but this binary reads version " +
+        std::to_string(kSnapshotFormatVersion) + " only — rebuild the "
+        "snapshot");
   }
   uint64_t options_fp = r.ReadU64("options fingerprint").value();
   uint64_t repo_fp = r.ReadU64("repository fingerprint").value();
@@ -694,8 +661,7 @@ Result<PreparedRepository> DecodeSnapshot(
         "current repository");
   }
 
-  return SnapshotCodec::DecodeBody(body, version, repo, name_options,
-                                   num_threads);
+  return SnapshotCodec::DecodeBody(body, repo, name_options, num_threads);
 }
 
 Status SaveSnapshot(const PreparedRepository& prepared,

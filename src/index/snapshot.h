@@ -47,29 +47,18 @@
 
 namespace smb::index {
 
-/// Format version this binary writes (v2: v1 plus the block-max trigram
-/// posting metadata the WAND traversal skips against).
+/// The one format version this binary writes and reads (v2 carries the
+/// block-max trigram posting metadata the WAND traversal skips against).
+/// Any other version — older or newer — fails closed with "rebuild the
+/// snapshot".
 inline constexpr uint32_t kSnapshotFormatVersion = 2;
-
-/// Oldest format version this binary still reads. v1 files lack the
-/// block-max arrays; the loader rebuilds them from the postings, so a v1
-/// load is bit-identical to a v2 load of the same index.
-inline constexpr uint32_t kSnapshotMinFormatVersion = 1;
 
 /// 8-byte magic prefix of every snapshot file.
 inline constexpr std::string_view kSnapshotMagic = "SMBIDX1\n";
 
 /// \brief Serializes `prepared` to the snapshot wire format (header+body)
-/// at the current `kSnapshotFormatVersion`.
+/// at `kSnapshotFormatVersion`.
 std::string EncodeSnapshot(const PreparedRepository& prepared);
-
-/// \brief `EncodeSnapshot` at an explicit format version in
-/// [`kSnapshotMinFormatVersion`, `kSnapshotFormatVersion`] — the
-/// back-compat hook (old-version files for loader tests, or writing for a
-/// reader that has not been updated yet). Rejects versions this binary
-/// does not write.
-Result<std::string> EncodeSnapshotForVersion(
-    const PreparedRepository& prepared, uint32_t format_version);
 
 /// \brief Decodes a snapshot against the repository and scorer options the
 /// caller is about to match with. Rejects (with `kParseError` /

@@ -9,10 +9,12 @@
 #include "io/csv.h"
 #include "match/fingerprint.h"
 #include "schema/text_format.h"
+#include "sim/synonyms.h"
 
 /// \file match_service.cc
-/// \brief Request execution: effective-target derivation, cache consult,
-/// engine run, answer write-out, generation reload.
+/// \brief Service assembly from front-end settings, and request execution:
+/// effective-target derivation, cache consult, engine run, answer
+/// write-out, generation reload.
 
 namespace smb::serve {
 
@@ -43,6 +45,46 @@ uint64_t FingerprintServiceOptions(const match::MatchOptions& match_options,
 }
 
 }  // namespace
+
+match::MatchOptions ServingMatchOptions(double delta) {
+  static const sim::SynonymTable kSynonyms = sim::SynonymTable::Builtin();
+  match::MatchOptions options;
+  options.delta_threshold = delta;
+  options.objective.name.synonyms = &kSynonyms;
+  return options;
+}
+
+Result<MatchServiceConfig> MakeMatchServiceConfig(
+    double delta, const std::string& matcher_kind,
+    const match::MatcherFactoryOptions& factory_options,
+    engine::BatchMatchOptions engine_options,
+    std::optional<double> min_target, engine::QueryResultCache* cache,
+    const std::string& default_repo_dir) {
+  const bool adaptive = engine_options.adaptive.has_value();
+  if (min_target.has_value() && !adaptive) {
+    return Status::InvalidArgument(
+        "a min target bound only applies to the bound-driven mode; set a "
+        "target bound");
+  }
+  MatchServiceConfig config;
+  config.shed.base_target =
+      adaptive ? engine_options.adaptive->min_provable_completeness : 1.0;
+  config.shed.min_target = min_target.value_or(config.shed.base_target);
+  SMB_RETURN_IF_ERROR(ValidateLoadShedPolicy(config.shed));
+
+  if (adaptive) engine_options.candidate_limit = 0;
+  config.match_options = ServingMatchOptions(delta);
+  config.index_options.matcher_kind = matcher_kind;
+  config.index_options.factory_options = factory_options;
+  config.index_options.name_options = config.match_options.objective.name;
+  config.index_options.num_threads = engine_options.num_threads;
+  config.index_options.build_if_missing = true;
+  config.index_options.save_after_build = true;
+  config.engine_options = std::move(engine_options);
+  config.cache = cache;
+  config.default_repo_dir = default_repo_dir;
+  return config;
+}
 
 Result<MatchResponse> MatchService::Execute(const Request& request,
                                             double pressure) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/mutex.h"
@@ -52,6 +53,30 @@ struct MatchServiceConfig {
   /// operand re-reads. Empty = reloads must name one.
   std::string default_repo_dir;
 };
+
+/// \brief The match options every front end serves with: Δ = `delta` and
+/// the builtin synonym table.
+match::MatchOptions ServingMatchOptions(double delta);
+
+/// \brief The one place settings become a serving stack. `serve`,
+/// `loadtest --trace --repo` and the batch runner all configure their
+/// MatchService here, so the S2 each of them measures is the same system.
+///
+/// The caller chooses Δ, the matcher, the engine mode (`engine_options`:
+/// threads, top-k, and either a fixed `candidate_limit` or an `adaptive`
+/// policy), an optional shed floor, the cache and the default reload
+/// directory. Everything else is derived: the builtin synonyms, the index
+/// options (`name_options`, `num_threads`; a startup open builds and saves
+/// a missing snapshot), `candidate_limit = 0` under a policy, and
+/// `shed.base_target` = the policy's target (`min_target` defaults to it,
+/// which disables shedding). A floor without a policy, or a shed envelope
+/// `ValidateLoadShedPolicy` rejects, is `InvalidArgument`.
+Result<MatchServiceConfig> MakeMatchServiceConfig(
+    double delta, const std::string& matcher_kind,
+    const match::MatcherFactoryOptions& factory_options,
+    engine::BatchMatchOptions engine_options,
+    std::optional<double> min_target, engine::QueryResultCache* cache,
+    const std::string& default_repo_dir);
 
 /// \brief Request executor over a swappable serving-index generation.
 /// Thread-safe: `Execute` may be called concurrently from any number of

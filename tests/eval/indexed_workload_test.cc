@@ -3,9 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 
+#include "index/prepared_repository.h"
 #include "match/matcher_factory.h"
 #include "synth/generator.h"
 
@@ -54,7 +53,7 @@ TEST(IndexedWorkloadTest, FullLimitReproducesDenseAnswersWithRecallOne) {
   ASSERT_TRUE(matcher.ok()) << matcher.status();
 
   IndexedWorkloadOptions wopts;
-  wopts.candidate_limit = setup.max_schema_size + 2;
+  wopts.engine.candidate_limit = setup.max_schema_size + 2;
   wopts.compare_dense = true;
   auto result = RunIndexedWorkload(**matcher, setup.problems, setup.repo,
                                    setup.options, {0.1, 0.2, 0.25}, wopts);
@@ -94,8 +93,8 @@ TEST(IndexedWorkloadTest, SmallLimitReportsRecallBelowOneAndSkips) {
   ASSERT_TRUE(matcher.ok()) << matcher.status();
 
   IndexedWorkloadOptions wopts;
-  wopts.candidate_limit = 2;
-  wopts.num_threads = 2;
+  wopts.engine.candidate_limit = 2;
+  wopts.engine.num_threads = 2;
   wopts.compare_dense = true;
   auto result = RunIndexedWorkload(**matcher, setup.problems, setup.repo,
                                    setup.options, {}, wopts);
@@ -117,7 +116,7 @@ TEST(IndexedWorkloadTest, WithoutCompareDenseSkipsDenseRuns) {
   ASSERT_TRUE(matcher.ok()) << matcher.status();
 
   IndexedWorkloadOptions wopts;
-  wopts.candidate_limit = 4;
+  wopts.engine.candidate_limit = 4;
   wopts.compare_dense = false;
   auto result = RunIndexedWorkload(**matcher, setup.problems, setup.repo,
                                    setup.options, {}, wopts);
@@ -130,57 +129,38 @@ TEST(IndexedWorkloadTest, WithoutCompareDenseSkipsDenseRuns) {
   }
 }
 
-TEST(IndexedWorkloadTest, SnapshotModeBuildsSavesThenLoads) {
+TEST(IndexedWorkloadTest, SuppliedIndexIsSharedNotRebuilt) {
   WorkloadSetup setup = MakeSetup();
   auto matcher = match::MakeMatcher("exhaustive", setup.repo);
   ASSERT_TRUE(matcher.ok()) << matcher.status();
 
   IndexedWorkloadOptions wopts;
-  wopts.candidate_limit = 8;
-  wopts.snapshot_path = ::testing::TempDir() + "/smb_workload_snapshot.bin";
-  std::remove(wopts.snapshot_path.c_str());
+  wopts.engine.candidate_limit = 8;
+  auto built_here = RunIndexedWorkload(**matcher, setup.problems, setup.repo,
+                                       setup.options, {0.1, 0.25}, wopts);
+  ASSERT_TRUE(built_here.ok()) << built_here.status();
+  EXPECT_GT(built_here->index_build_seconds, 0.0);
 
-  // First run: no snapshot yet — build, save, report build time.
-  auto first = RunIndexedWorkload(**matcher, setup.problems, setup.repo,
-                                  setup.options, {0.1, 0.25}, wopts);
-  ASSERT_TRUE(first.ok()) << first.status();
-  EXPECT_FALSE(first->loaded_from_snapshot);
-  EXPECT_GT(first->index_build_seconds, 0.0);
-  EXPECT_EQ(first->index_load_seconds, 0.0);
-
-  // Second run: the saved snapshot is loaded; answers identical.
-  auto second = RunIndexedWorkload(**matcher, setup.problems, setup.repo,
-                                   setup.options, {0.1, 0.25}, wopts);
-  ASSERT_TRUE(second.ok()) << second.status();
-  EXPECT_TRUE(second->loaded_from_snapshot);
-  EXPECT_GT(second->index_load_seconds, 0.0);
-  EXPECT_EQ(second->index_build_seconds, 0.0);
-  ASSERT_EQ(first->answers.size(), second->answers.size());
-  for (size_t p = 0; p < first->answers.size(); ++p) {
-    const auto& a = first->answers[p];
-    const auto& b = second->answers[p];
+  // The caller's index (what `workload` opens through the serving path) is
+  // used as is: no build, identical answers.
+  auto prepared = index::PreparedRepository::Build(
+      setup.repo, setup.options.objective.name);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  wopts.engine.prepared_repository = &*prepared;
+  auto supplied = RunIndexedWorkload(**matcher, setup.problems, setup.repo,
+                                     setup.options, {0.1, 0.25}, wopts);
+  ASSERT_TRUE(supplied.ok()) << supplied.status();
+  EXPECT_EQ(supplied->index_build_seconds, 0.0);
+  ASSERT_EQ(built_here->answers.size(), supplied->answers.size());
+  for (size_t p = 0; p < supplied->answers.size(); ++p) {
+    const auto& a = built_here->answers[p];
+    const auto& b = supplied->answers[p];
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a.mappings()[i].key(), b.mappings()[i].key());
       EXPECT_EQ(a.mappings()[i].delta, b.mappings()[i].delta);
     }
   }
-
-  // A corrupted snapshot is a hard error — never a silent rebuild.
-  {
-    std::ifstream in(wopts.snapshot_path, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    ASSERT_GT(bytes.size(), 100u);
-    bytes[100] ^= 0x7F;  // guaranteed to differ from the original
-    std::ofstream out(wopts.snapshot_path,
-                      std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  auto corrupted = RunIndexedWorkload(**matcher, setup.problems, setup.repo,
-                                      setup.options, {0.1, 0.25}, wopts);
-  ASSERT_FALSE(corrupted.ok());
-  std::remove(wopts.snapshot_path.c_str());
 }
 
 TEST(IndexedWorkloadTest, RejectsEmptyWorkloadAndZeroLimit) {
@@ -191,13 +171,13 @@ TEST(IndexedWorkloadTest, RejectsEmptyWorkloadAndZeroLimit) {
       RunIndexedWorkload(**matcher, {}, setup.repo, setup.options, {}, {})
           .ok());
   IndexedWorkloadOptions wopts;
-  wopts.candidate_limit = 0;
+  wopts.engine.candidate_limit = 0;
   EXPECT_FALSE(RunIndexedWorkload(**matcher, setup.problems, setup.repo,
                                   setup.options, {}, wopts)
                    .ok());
   // The zero limit is fine in the bound-driven mode: candidate_limit is
   // not the budget there.
-  wopts.adaptive = index::AdaptiveCandidatePolicy{};
+  wopts.engine.adaptive = index::AdaptiveCandidatePolicy{};
   EXPECT_TRUE(RunIndexedWorkload(**matcher, setup.problems, setup.repo,
                                  setup.options, {}, wopts)
                   .ok());
@@ -210,10 +190,10 @@ TEST(IndexedWorkloadTest, AdaptiveModeReportsBudgetAndCertifiedBound) {
   ASSERT_TRUE(matcher.ok()) << matcher.status();
 
   IndexedWorkloadOptions wopts;
-  wopts.candidate_limit = 0;
+  wopts.engine.candidate_limit = 0;
   index::AdaptiveCandidatePolicy policy;
   policy.min_provable_completeness = 0.9;
-  wopts.adaptive = policy;
+  wopts.engine.adaptive = policy;
   wopts.compare_dense = true;
   auto result = RunIndexedWorkload(**matcher, setup.problems, setup.repo,
                                    setup.options, {}, wopts);

@@ -1,9 +1,11 @@
 #include "eval/load_harness.h"
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -217,6 +219,48 @@ TEST(ReplayTraceTest, OpenLoopPacingHonorsArrivals) {
   auto closed = ReplayTrace(trace, &fast, ClosedLoop(4));
   ASSERT_TRUE(closed.ok()) << closed.status();
   EXPECT_LT(closed->wall_seconds, 0.09);
+}
+
+// No coordinated omission: in paced open-loop mode a request is timed from
+// its scheduled arrival. Request 0 stalls the only replay thread for about
+// 50 ms; request 1, due at 10 ms, waits behind it, and that wait is part
+// of its recorded latency (timed from dispatch it would read about 0 ms).
+TEST(ReplayTraceTest, OpenLoopLatencyCountsTheWaitBehindAStall) {
+  WorkloadTrace trace;
+  trace.seed = 1;
+  trace.query_files = {"q"};
+  trace.classes = {"stalled", "queued"};
+  TraceRequest stalled;
+  stalled.arrival_us = 0;
+  stalled.class_index = 0;
+  TraceRequest queued;
+  queued.arrival_us = 10000;
+  queued.class_index = 1;
+  trace.requests = {stalled, queued};
+
+  class StallingExecutor : public TraceExecutor {
+   public:
+    TraceOutcome Execute(uint64_t index, const TraceRequest&) override {
+      if (index == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      }
+      TraceOutcome outcome;
+      outcome.ok = true;
+      return outcome;
+    }
+  } executor;
+  ReplayOptions paced;
+  paced.num_threads = 1;
+  paced.open_loop = true;
+  paced.speed = 1.0;
+  auto report = ReplayTrace(trace, &executor, paced);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->per_class.size(), 2u);
+  ASSERT_EQ(report->per_class[1].latency_ms.count, 1u);
+  // Dispatched at ~50 ms, due at 10 ms: ~40 ms of waiting.
+  EXPECT_GE(report->per_class[1].latency_ms.max, 35.0)
+      << "the queued request's wait behind the stall was not counted";
+  EXPECT_GE(report->per_class[0].latency_ms.max, 45.0);
 }
 
 }  // namespace

@@ -168,6 +168,29 @@ TEST_F(ReloadFixture, CorruptSnapshotIsRejectedAndTheOldIndexKeepsServing) {
   EXPECT_GT(response->answers, 0u);
 }
 
+TEST_F(ReloadFixture, CorruptSnapshotAtStartupIsAnErrorNotARebuild) {
+  // A startup open may build a *missing* snapshot, but one that exists and
+  // fails to load (here: one flipped body byte, no backup) is a hard
+  // error — never a silent rebuild over the operator's file.
+  auto bytes = io::ReadBinaryFile(snapshot_path_);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  ASSERT_GT(bytes->size(), 100u);
+  (*bytes)[100] ^= 0x7F;
+  ASSERT_TRUE(io::WriteBinaryFile(snapshot_path_, *bytes).ok());
+  fs::remove(snapshot_path_ + ".bak");
+
+  ServingIndexOptions options;
+  options.build_if_missing = true;
+  options.save_after_build = true;
+  auto opened = OpenServingIndex(repo_dir_, snapshot_path_, options,
+                                 /*generation=*/1);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(opened.status().code(), StatusCode::kNotFound) << opened.status();
+  auto on_disk = io::ReadBinaryFile(snapshot_path_);
+  ASSERT_TRUE(on_disk.ok()) << on_disk.status();
+  EXPECT_EQ(*on_disk, *bytes) << "the corrupt snapshot was overwritten";
+}
+
 TEST_F(ReloadFixture, MissingSnapshotIsAnErrorOnReloadNotARebuild) {
   fs::remove(snapshot_path_);
   fs::remove(snapshot_path_ + ".bak");

@@ -50,16 +50,14 @@
 #include "harness/trace_executor.h"
 #include "serve/replay_client.h"
 #include "eval/workload.h"
-#include "index/snapshot.h"
+#include "index/candidate_generator.h"
 #include "eval/answer_set_io.h"
 #include "bounds/curve_io.h"
 #include "io/csv.h"
 #include "io/fault_injection.h"
-#include "match/fingerprint.h"
 #include "match/matcher_factory.h"
 #include "schema/text_format.h"
 #include "schema/xsd_reader.h"
-#include "serve/load_shed.h"
 #include "sim/simd_dispatch.h"
 #include "serve/match_service.h"
 #include "serve/protocol.h"
@@ -147,7 +145,8 @@ commands:
             SIGTERM/SIGINT drains gracefully (every admitted request is
             answered, `drained ... dropped=0`)
             [--requests=FILE] offline mode: replay request lines from
-            FILE (default: stdin) in-process until EOF/quit
+            FILE in-process until EOF/quit (one of --listen and
+            --requests is required)
             Answers are served through a concurrent sharded LRU result
             cache keyed by (prepared query fingerprint, match options
             incl. the effective target bound); every response reports
@@ -204,12 +203,6 @@ environment:
             e.g. "seed=7,socket.recv=0.05:reset,file.fsync@3"; see
             docs/serving.md for the full site list and grammar
 )";
-}
-
-Result<schema::SchemaRepository> LoadRepository(const std::string& dir) {
-  // Shared with the serve reload path (serving_index.cc), so a reloaded
-  // repository fingerprints identically to a startup load.
-  return schema::LoadRepositoryDir(dir);
 }
 
 int CmdGenerate(const CommandLine& cl) {
@@ -278,40 +271,52 @@ int CmdGenerate(const CommandLine& cl) {
   return 0;
 }
 
-/// The builtin synonym table every command matches with.
-const sim::SynonymTable& BuiltinSynonyms() {
-  static const sim::SynonymTable kSynonyms = sim::SynonymTable::Builtin();
-  return kSynonyms;
-}
+/// The match flags every matching command shares: `--delta` (with the
+/// builtin synonyms, serve::ServingMatchOptions), `--matcher` and the
+/// matcher factory knobs.
+struct MatchFlags {
+  match::MatchOptions options;
+  std::string kind;
+  match::MatcherFactoryOptions factory;
+};
 
-/// Collects the per-matcher CLI knobs for the shared matcher factory.
-Result<match::MatcherFactoryOptions> ParseMatcherOptions(
-    const CommandLine& cl) {
-  match::MatcherFactoryOptions options;
+Result<MatchFlags> ParseMatchFlags(const CommandLine& cl) {
+  MatchFlags flags;
+  SMB_ASSIGN_OR_RETURN(double delta, cl.GetDouble("delta", 0.25));
+  flags.options = serve::ServingMatchOptions(delta);
+  flags.kind = cl.Get("matcher", "exhaustive");
   SMB_ASSIGN_OR_RETURN(uint64_t beam, cl.GetUint("beam", 6));
   SMB_ASSIGN_OR_RETURN(uint64_t top_m, cl.GetUint("topm", 4));
   SMB_ASSIGN_OR_RETURN(uint64_t k, cl.GetUint("k", 10));
   SMB_ASSIGN_OR_RETURN(uint64_t seed, cl.GetUint("seed", 2006));
-  options.beam_width = static_cast<size_t>(beam);
-  options.top_m_clusters = static_cast<size_t>(top_m);
-  options.k_per_schema = static_cast<size_t>(k);
-  options.cluster_seed = seed;
-  return options;
+  flags.factory.beam_width = static_cast<size_t>(beam);
+  flags.factory.top_m_clusters = static_cast<size_t>(top_m);
+  flags.factory.k_per_schema = static_cast<size_t>(k);
+  flags.factory.cluster_seed = seed;
+  return flags;
 }
 
-/// Parses the bound-driven sparse-mode flags (`--target-bound`,
-/// `--initial-candidates`, `--max-candidates`) into an adaptive policy;
-/// empty when `--target-bound` was not given. An explicit `--candidates`
-/// is rejected alongside it — the two select different sparse modes.
-Result<std::optional<index::AdaptiveCandidatePolicy>> ParseAdaptivePolicy(
-    const CommandLine& cl) {
+/// The engine-mode flags: `--threads` (default 1), `--top`, and either the
+/// fixed budget `--candidates` (`default_candidates` when absent) or the
+/// bound-driven `--target-bound` with `--initial-candidates` and
+/// `--max-candidates`. The two sparse modes are mutually exclusive.
+Result<engine::BatchMatchOptions> ParseEngineFlags(
+    const CommandLine& cl, uint64_t default_candidates) {
+  engine::BatchMatchOptions options;
+  SMB_ASSIGN_OR_RETURN(uint64_t threads, cl.GetUint("threads", 1));
+  SMB_ASSIGN_OR_RETURN(uint64_t top, cl.GetUint("top", 0));
+  SMB_ASSIGN_OR_RETURN(uint64_t candidates,
+                       cl.GetUint("candidates", default_candidates));
+  options.num_threads = static_cast<size_t>(threads);
+  options.global_top_k = static_cast<size_t>(top);
+  options.candidate_limit = static_cast<size_t>(candidates);
   if (!cl.Has("target-bound")) {
     if (cl.Has("initial-candidates") || cl.Has("max-candidates")) {
       return Status::InvalidArgument(
           "--initial-candidates/--max-candidates only apply to the "
           "bound-driven mode; add --target-bound=B");
     }
-    return std::optional<index::AdaptiveCandidatePolicy>();
+    return options;
   }
   if (cl.Has("candidates")) {
     return Status::InvalidArgument(
@@ -325,7 +330,67 @@ Result<std::optional<index::AdaptiveCandidatePolicy>> ParseAdaptivePolicy(
   policy.min_provable_completeness = target;
   policy.initial_limit = static_cast<size_t>(initial);
   policy.max_limit = static_cast<size_t>(max);
-  return std::optional<index::AdaptiveCandidatePolicy>(policy);
+  options.adaptive = policy;
+  return options;
+}
+
+/// What a front end serves with: the assembled configuration and the
+/// generation it opened.
+struct ServingSetup {
+  serve::MatchServiceConfig config;
+  std::shared_ptr<const serve::ServingIndex> index;
+};
+
+/// Settings -> generation 1, the way `serve` opens it: the match and
+/// engine flags (fixed budget C = 16 by default) go through
+/// serve::MakeMatchServiceConfig, then `repo_dir` opens with `--snapshot`
+/// loaded when it exists and built + saved there otherwise. A snapshot
+/// that exists but does not load cleanly (primary and `.bak`) is fatal.
+Result<ServingSetup> OpenServingSetup(const CommandLine& cl,
+                                      const std::string& repo_dir,
+                                      std::optional<double> shed_floor,
+                                      engine::QueryResultCache* cache) {
+  SMB_ASSIGN_OR_RETURN(MatchFlags match, ParseMatchFlags(cl));
+  SMB_ASSIGN_OR_RETURN(engine::BatchMatchOptions engine,
+                       ParseEngineFlags(cl, /*default_candidates=*/16));
+  ServingSetup setup;
+  SMB_ASSIGN_OR_RETURN(
+      setup.config,
+      serve::MakeMatchServiceConfig(match.options.delta_threshold, match.kind,
+                                    match.factory, std::move(engine),
+                                    shed_floor, cache, repo_dir));
+  SMB_ASSIGN_OR_RETURN(
+      setup.index,
+      serve::OpenServingIndex(repo_dir, cl.Get("snapshot"),
+                              setup.config.index_options, /*generation=*/1));
+  return setup;
+}
+
+/// The in-process service `serve` and `loadtest --trace --repo` run: the
+/// result cache (`--cache-size`), the shed floor (`--min-target-bound`,
+/// bound-driven mode only) and OpenServingSetup's generation.
+struct ServiceStack {
+  std::unique_ptr<engine::QueryResultCache> cache;
+  ServingSetup setup;
+  std::unique_ptr<serve::MatchService> service;
+};
+
+Result<ServiceStack> OpenServiceStack(const CommandLine& cl,
+                                      const std::string& repo_dir) {
+  SMB_ASSIGN_OR_RETURN(uint64_t cache_size, cl.GetUint("cache-size", 64));
+  std::optional<double> shed_floor;
+  if (cl.Has("min-target-bound")) {
+    SMB_ASSIGN_OR_RETURN(shed_floor, cl.GetDouble("min-target-bound", 1.0));
+  }
+  ServiceStack stack;
+  stack.cache = std::make_unique<engine::QueryResultCache>(
+      static_cast<size_t>(cache_size));
+  SMB_ASSIGN_OR_RETURN(
+      stack.setup,
+      OpenServingSetup(cl, repo_dir, shed_floor, stack.cache.get()));
+  stack.service = std::make_unique<serve::MatchService>(stack.setup.index,
+                                                        stack.setup.config);
+  return stack;
 }
 
 void PrintAdaptiveStats(const engine::BatchMatchStats& stats) {
@@ -354,31 +419,20 @@ int CmdMatch(const CommandLine& cl) {
   if (repo_dir.empty() || query_path.empty() || out_path.empty()) {
     return Fail(Status::InvalidArgument("--repo, --query and --out required"));
   }
-  auto repo = LoadRepository(repo_dir);
+  auto repo = schema::LoadRepositoryDir(repo_dir);
   if (!repo.ok()) return Fail(repo.status());
   auto query_text = io::ReadTextFile(query_path);
   if (!query_text.ok()) return Fail(query_text.status());
   auto query = schema::ParseSchemaText(*query_text);
   if (!query.ok()) return Fail(query.status());
 
-  match::MatchOptions options;
-  auto delta = cl.GetDouble("delta", 0.25);
-  if (!delta.ok()) return Fail(delta.status());
-  options.delta_threshold = *delta;
-  options.objective.name.synonyms = &BuiltinSynonyms();
-
-  std::string kind = cl.Get("matcher", "exhaustive");
-  auto factory_options = ParseMatcherOptions(cl);
-  if (!factory_options.ok()) return Fail(factory_options.status());
-  auto matcher = match::MakeMatcher(kind, *repo, *factory_options);
+  auto flags = ParseMatchFlags(cl);
+  if (!flags.ok()) return Fail(flags.status());
+  const match::MatchOptions& options = flags->options;
+  auto matcher = match::MakeMatcher(flags->kind, *repo, flags->factory);
   if (!matcher.ok()) return Fail(matcher.status());
-
-  auto top = cl.GetUint("top", 0);
-  if (!top.ok()) return Fail(top.status());
-  auto candidates = cl.GetUint("candidates", 0);
-  if (!candidates.ok()) return Fail(candidates.status());
-  auto adaptive = ParseAdaptivePolicy(cl);
-  if (!adaptive.ok()) return Fail(adaptive.status());
+  auto bopts = ParseEngineFlags(cl, /*default_candidates=*/0);
+  if (!bopts.ok()) return Fail(bopts.status());
   if (cl.Has("shard-size") && !cl.Has("threads")) {
     return Fail(Status::InvalidArgument(
         "--shard-size only applies to engine runs; add --threads=N"));
@@ -386,26 +440,19 @@ int CmdMatch(const CommandLine& cl) {
 
   Result<match::AnswerSet> answers = Status::Internal("unreachable");
   match::MatchStats stats;
-  if (cl.Has("threads") || *candidates > 0 || adaptive->has_value()) {
+  const bool sparse = bopts->candidate_limit > 0 || bopts->adaptive;
+  if (cl.Has("threads") || sparse) {
     // Run through the batch engine: repository split across a worker pool;
     // costs come from the shared dense pool, or — with --candidates /
     // --target-bound — from the sparse repository index.
-    auto threads = cl.GetUint("threads", cl.Has("threads") ? 0 : 1);
-    if (!threads.ok()) return Fail(threads.status());
     auto shard_size = cl.GetUint("shard-size", 0);
     if (!shard_size.ok()) return Fail(shard_size.status());
-    engine::BatchMatchOptions bopts;
-    bopts.num_threads = static_cast<size_t>(*threads);
-    bopts.shard_size = static_cast<size_t>(*shard_size);
-    bopts.global_top_k = static_cast<size_t>(*top);
-    bopts.candidate_limit = static_cast<size_t>(*candidates);
-    bopts.adaptive = *adaptive;
-    engine::BatchMatchEngine batch(bopts);
+    bopts->shard_size = static_cast<size_t>(*shard_size);
+    engine::BatchMatchEngine batch(*bopts);
     engine::BatchMatchStats bstats;
     answers = batch.Run(**matcher, *query, *repo, options, &bstats);
     stats = bstats.match;
     if (answers.ok()) {
-      const bool sparse = bopts.candidate_limit > 0 || bopts.adaptive;
       std::cout << "engine: " << bstats.shard_count << " shards on "
                 << bstats.threads_used << " threads";
       if (bstats.fell_back_to_single_run) {
@@ -428,16 +475,16 @@ int CmdMatch(const CommandLine& cl) {
     }
   } else {
     answers = (*matcher)->Match(*query, *repo, options, &stats);
-    if (answers.ok() && *top > 0) {
-      answers = answers->TopN(static_cast<size_t>(*top));
+    if (answers.ok() && bopts->global_top_k > 0) {
+      answers = answers->TopN(bopts->global_top_k);
     }
   }
   if (!answers.ok()) return Fail(answers.status());
   if (Status st = eval::WriteAnswerSetFile(out_path, *answers); !st.ok()) {
     return Fail(st);
   }
-  std::cout << kind << " matcher: " << answers->size() << " answers (Δ ≤ "
-            << *delta << "), ";
+  std::cout << flags->kind << " matcher: " << answers->size()
+            << " answers (Δ ≤ " << options.delta_threshold << "), ";
   PrintMatchStats(stats);
   std::cout << " -> " << out_path << "\n";
   return 0;
@@ -449,9 +496,6 @@ int CmdWorkload(const CommandLine& cl) {
   if (repo_dir.empty() || queries_dir.empty()) {
     return Fail(Status::InvalidArgument("--repo and --queries required"));
   }
-  auto repo = LoadRepository(repo_dir);
-  if (!repo.ok()) return Fail(repo.status());
-
   // Every query*.txt in the queries directory is one matching problem.
   std::vector<fs::path> query_files;
   std::error_code ec;
@@ -485,65 +529,52 @@ int CmdWorkload(const CommandLine& cl) {
     problems.push_back(std::move(problem));
   }
 
-  match::MatchOptions options;
-  auto delta = cl.GetDouble("delta", 0.25);
-  if (!delta.ok()) return Fail(delta.status());
-  options.delta_threshold = *delta;
-  options.objective.name.synonyms = &BuiltinSynonyms();
-
-  std::string kind = cl.Get("matcher", "exhaustive");
-  auto factory_options = ParseMatcherOptions(cl);
-  if (!factory_options.ok()) return Fail(factory_options.status());
-  auto matcher = match::MakeMatcher(kind, *repo, *factory_options);
-  if (!matcher.ok()) return Fail(matcher.status());
-
+  // The index opens exactly like `serve`'s generation 1 (snapshot loaded
+  // when it exists, else built and saved there), so the S2 measured here
+  // is the one `serve` runs.
+  auto setup = OpenServingSetup(cl, repo_dir, /*shed_floor=*/std::nullopt,
+                                /*cache=*/nullptr);
+  if (!setup.ok()) return Fail(setup.status());
+  const serve::ServingIndex& serving = *setup->index;
+  const match::MatchOptions& options = setup->config.match_options;
   eval::IndexedWorkloadOptions wopts;
-  auto candidates = cl.GetUint("candidates", 16);
-  if (!candidates.ok()) return Fail(candidates.status());
-  auto threads = cl.GetUint("threads", 1);
-  if (!threads.ok()) return Fail(threads.status());
-  auto top = cl.GetUint("top", 0);
-  if (!top.ok()) return Fail(top.status());
-  auto adaptive = ParseAdaptivePolicy(cl);
-  if (!adaptive.ok()) return Fail(adaptive.status());
-  wopts.candidate_limit = static_cast<size_t>(*candidates);
-  wopts.adaptive = *adaptive;
-  wopts.num_threads = static_cast<size_t>(*threads);
-  wopts.global_top_k = static_cast<size_t>(*top);
+  wopts.engine = setup->config.engine_options;
+  wopts.engine.prepared_repository = &*serving.prepared;
   wopts.compare_dense = cl.Has("compare-dense");
-  wopts.snapshot_path = cl.Get("snapshot");
+  const std::optional<index::AdaptiveCandidatePolicy>& adaptive =
+      wopts.engine.adaptive;
 
-  auto result = eval::RunIndexedWorkload(**matcher, problems, *repo, options,
+  auto result = eval::RunIndexedWorkload(*serving.matcher, problems,
+                                         serving.repo, options,
                                          /*thresholds=*/{}, wopts);
   if (!result.ok()) return Fail(result.status());
 
   std::cout << result->system_name << " over " << problems.size()
             << " queries (simd="
             << sim::SimdTierName(sim::ActiveSimdTier()) << "), ";
-  if (wopts.adaptive.has_value()) {
+  if (adaptive.has_value()) {
     std::cout << "target bound = "
-              << FormatDouble(wopts.adaptive->min_provable_completeness, 2)
-              << " (C grows from " << wopts.adaptive->initial_limit << ")";
+              << FormatDouble(adaptive->min_provable_completeness, 2)
+              << " (C grows from " << adaptive->initial_limit << ")";
   } else {
-    std::cout << "C = " << wopts.candidate_limit;
+    std::cout << "C = " << wopts.engine.candidate_limit;
   }
   std::cout << "; ";
-  if (result->loaded_from_snapshot) {
+  if (serving.source == "snapshot") {
     std::cout << "index loaded from snapshot in "
-              << FormatDouble(result->index_load_seconds * 1e3, 2) << " ms\n";
+              << FormatDouble(serving.load_seconds * 1e3, 2) << " ms\n";
   } else {
     std::cout << "index built once in "
-              << FormatDouble(result->index_build_seconds * 1e3, 2) << " ms";
-    if (!wopts.snapshot_path.empty()) {
+              << FormatDouble(serving.build_seconds * 1e3, 2) << " ms";
+    if (!cl.Get("snapshot").empty()) {
       std::cout << ", snapshot saved in "
-                << FormatDouble(result->snapshot_save_seconds * 1e3, 2)
-                << " ms";
+                << FormatDouble(serving.save_seconds * 1e3, 2) << " ms";
     }
     std::cout << "\n";
   }
   std::vector<std::string> headers = {"query", "answers", "sparse ms",
                                       "complete%"};
-  if (wopts.adaptive.has_value()) {
+  if (adaptive.has_value()) {
     headers.insert(headers.end(), {"budget", "escalated", "rounds"});
   }
   if (wopts.compare_dense) {
@@ -559,7 +590,7 @@ int CmdWorkload(const CommandLine& cl) {
         report.name, std::to_string(report.sparse_answers),
         FormatDouble(report.sparse_seconds * 1e3, 2),
         FormatDouble(report.provably_complete_fraction * 100.0, 1)};
-    if (wopts.adaptive.has_value()) {
+    if (adaptive.has_value()) {
       row.push_back(std::to_string(report.budget_spent));
       row.push_back(std::to_string(report.cells_escalated));
       row.push_back(std::to_string(report.adaptive_rounds));
@@ -595,7 +626,7 @@ int CmdWorkload(const CommandLine& cl) {
   }
   std::cout << "\nworkload totals: ";
   PrintMatchStats(result->stats);
-  if (wopts.adaptive.has_value()) {
+  if (adaptive.has_value()) {
     std::cout << "; mean certified bound "
               << FormatDouble(result->mean_provable_completeness * 100.0, 1)
               << "%, total budget " << result->total_budget_spent
@@ -625,27 +656,8 @@ int CmdWorkload(const CommandLine& cl) {
       limits.push_back(static_cast<size_t>(std::strtoull(
           trimmed.c_str(), nullptr, 10)));
     }
-    // Reuse the workload's prepared index when it was persisted: with
-    // --snapshot the index RunIndexedWorkload just used (or saved) is on
-    // disk, so the sweep must not pay a second from-scratch build.
-    Result<index::PreparedRepository> sweep_prepared =
-        Status::NotFound("no snapshot configured");
-    if (!wopts.snapshot_path.empty()) {
-      sweep_prepared =
-          index::LoadSnapshot(wopts.snapshot_path, *repo,
-                              options.objective.name, wopts.num_threads);
-    }
-    if (!sweep_prepared.ok()) {
-      if (!wopts.snapshot_path.empty() &&
-          sweep_prepared.status().code() != StatusCode::kNotFound) {
-        return Fail(sweep_prepared.status());
-      }
-      sweep_prepared =
-          index::PreparedRepository::Build(*repo, options.objective.name);
-      if (!sweep_prepared.ok()) return Fail(sweep_prepared.status());
-    }
-    index::CandidateGenerator generator(&*sweep_prepared,
-                                        options.objective);
+    // The sweep probes the workload's own index.
+    index::CandidateGenerator generator(&*serving.prepared, options.objective);
     auto probe = [&](size_t limit) -> Result<bounds::BudgetCurvePoint> {
       bounds::BudgetCurvePoint point;
       SteadyClock::time_point t0 = SteadyClock::now();
@@ -671,11 +683,12 @@ int CmdWorkload(const CommandLine& cl) {
            FormatDouble(point.provably_complete_fraction * 100.0, 1),
            FormatDouble(point.seconds * 1e3, 2)});
     }
-    std::cout << "bound-vs-cost sweep (Δ ≤ " << *delta << "):\n";
+    std::cout << "bound-vs-cost sweep (Δ ≤ " << options.delta_threshold
+              << "):\n";
     sweep_table.Print(std::cout);
-    if (wopts.adaptive.has_value()) {
+    if (adaptive.has_value()) {
       const size_t smallest = curve->SmallestLimitAchieving(
-          wopts.adaptive->min_provable_completeness);
+          adaptive->min_provable_completeness);
       std::cout << "smallest swept C meeting the target bound: "
                 << (smallest > 0 ? std::to_string(smallest)
                                  : std::string("none"))
@@ -733,7 +746,7 @@ Result<std::pair<std::string, uint16_t>> ParseListenAddress(
   return std::make_pair(host, static_cast<uint16_t>(port));
 }
 
-/// The stdin/file request loop (offline mode): one request line in, one
+/// The request-file loop (offline mode): one request line in, one
 /// response line out, all through the same MatchService the network server
 /// uses, always at pressure 0 (offline runs never shed).
 int RunOfflineServe(serve::MatchService& service,
@@ -849,28 +862,7 @@ int CmdServe(const CommandLine& cl) {
     return Fail(Status::InvalidArgument("--repo required"));
   }
 
-  match::MatchOptions options;
-  auto delta = cl.GetDouble("delta", 0.25);
-  if (!delta.ok()) return Fail(delta.status());
-  options.delta_threshold = *delta;
-  options.objective.name.synonyms = &BuiltinSynonyms();
-
-  std::string kind = cl.Get("matcher", "exhaustive");
-  auto factory_options = ParseMatcherOptions(cl);
-  if (!factory_options.ok()) return Fail(factory_options.status());
-
-  auto candidates = cl.GetUint("candidates", 16);
-  auto threads = cl.GetUint("threads", 1);
-  auto top = cl.GetUint("top", 0);
-  auto cache_size = cl.GetUint("cache-size", 64);
-  auto adaptive = ParseAdaptivePolicy(cl);
-  if (!candidates.ok()) return Fail(candidates.status());
-  if (!threads.ok()) return Fail(threads.status());
-  if (!top.ok()) return Fail(top.status());
-  if (!cache_size.ok()) return Fail(cache_size.status());
-  if (!adaptive.ok()) return Fail(adaptive.status());
-
-  // Network-mode and shedding flags.
+  // Network-mode flags.
   std::string listen_spec = cl.Get("listen");
   auto workers = cl.GetUint("workers", 2);
   auto queue_depth = cl.GetUint("queue-depth", 16);
@@ -881,109 +873,74 @@ int CmdServe(const CommandLine& cl) {
   if (!queue_depth.ok()) return Fail(queue_depth.status());
   if (!deadline_ms.ok()) return Fail(deadline_ms.status());
   if (!max_line_bytes.ok()) return Fail(max_line_bytes.status());
-  if (cl.Has("min-target-bound") && !adaptive->has_value()) {
-    return Fail(Status::InvalidArgument(
-        "--min-target-bound only applies to the bound-driven mode; add "
-        "--target-bound=B"));
-  }
-  serve::LoadShedPolicy shed;
-  shed.base_target = adaptive->has_value()
-                         ? (*adaptive)->min_provable_completeness
-                         : 1.0;
-  auto min_target = cl.GetDouble("min-target-bound", shed.base_target);
-  if (!min_target.ok()) return Fail(min_target.status());
-  shed.min_target = *min_target;
-  if (Status st = serve::ValidateLoadShedPolicy(shed); !st.ok()) {
-    return Fail(st);
-  }
 
-  // Open generation 1: load the snapshot when one exists (with the `.bak`
-  // fallback), otherwise build and (with --snapshot) persist for the next
-  // start. A snapshot that exists but does not load cleanly from either
-  // file is fatal — serving from a wrong index is the one failure mode
-  // this command must never have. The same options are reused verbatim by
-  // every `reload`.
-  std::string snapshot_path = cl.Get("snapshot");
-  serve::ServingIndexOptions index_options;
-  index_options.matcher_kind = kind;
-  index_options.factory_options = *factory_options;
-  index_options.name_options = options.objective.name;
-  index_options.num_threads = static_cast<size_t>(*threads);
-  index_options.build_if_missing = true;
-  index_options.save_after_build = true;
-  auto index = serve::OpenServingIndex(repo_dir, snapshot_path,
-                                       index_options, /*generation=*/1);
-  if (!index.ok()) return Fail(index.status());
-  if (!(*index)->warning.empty()) {
-    std::cout << "warning " << (*index)->warning << std::endl;
-  }
-
-  // One service for either mode: the offline loop and every network
-  // worker execute requests through the same shared generation.
-  // The effective (possibly shed) target is folded into the cache key by
-  // the service — a 0.9-certified answer set is never replayed for a
-  // request that asked for 0.99 — and so is the generation's repository
-  // fingerprint, so a reload can never replay stale answers.
-  engine::QueryResultCache cache(static_cast<size_t>(*cache_size));
-  serve::MatchServiceConfig service_config;
-  service_config.match_options = options;
-  service_config.engine_options.num_threads = static_cast<size_t>(*threads);
-  service_config.engine_options.global_top_k = static_cast<size_t>(*top);
-  service_config.engine_options.candidate_limit =
-      adaptive->has_value() ? 0 : static_cast<size_t>(*candidates);
-  service_config.engine_options.adaptive = *adaptive;
-  service_config.cache = &cache;
-  service_config.shed = shed;
-  service_config.index_options = index_options;
-  service_config.default_repo_dir = repo_dir;
-  serve::MatchService service(*index, service_config);
-
-  std::ifstream request_file;
-  std::istream* in = &std::cin;
+  // Exactly one mode: network (`--listen`) or offline replay of a
+  // request file (`--requests`).
   std::string requests_path = cl.Get("requests");
+  if (listen_spec.empty() == requests_path.empty()) {
+    return Fail(Status::InvalidArgument(
+        listen_spec.empty()
+            ? "serve needs --listen=HOST:PORT (network mode) or "
+              "--requests=FILE (offline replay)"
+            : "--requests (offline replay) and --listen (network mode) are "
+              "mutually exclusive; replay against a live server with "
+              "`matchbounds client`"));
+  }
+  std::ifstream request_file;
   if (!requests_path.empty()) {
-    if (!listen_spec.empty()) {
-      return Fail(Status::InvalidArgument(
-          "--requests (offline replay) and --listen (network mode) are "
-          "mutually exclusive; replay against a live server with "
-          "`matchbounds client`"));
-    }
     request_file.open(requests_path);
     if (!request_file) {
       return Fail(Status::IOError("cannot open request file " +
                                   requests_path));
     }
-    in = &request_file;
   }
 
-  const bool loaded = (*index)->source == "snapshot";
-  std::cout << "ready " << kind << " repo=" << (*index)->repo.schema_count()
-            << " schemas/" << (*index)->repo.total_elements() << " elements"
+  // Generation 1 and the one service both modes execute requests through:
+  // the offline loop and every network worker share it, and every
+  // `reload` reuses its index options verbatim. The effective (possibly
+  // shed) target and the generation's repository fingerprint are folded
+  // into the cache key by the service, so a weaker certificate or a stale
+  // generation's answers are never replayed.
+  auto stack = OpenServiceStack(cl, repo_dir);
+  if (!stack.ok()) return Fail(stack.status());
+  const serve::ServingIndex& serving = *stack->setup.index;
+  const serve::MatchServiceConfig& config = stack->setup.config;
+  if (!serving.warning.empty()) {
+    std::cout << "warning " << serving.warning << std::endl;
+  }
+
+  const std::optional<index::AdaptiveCandidatePolicy>& adaptive =
+      config.engine_options.adaptive;
+  const std::string snapshot_path = cl.Get("snapshot");
+  std::cout << "ready " << config.index_options.matcher_kind
+            << " repo=" << serving.repo.schema_count() << " schemas/"
+            << serving.repo.total_elements() << " elements"
             << " simd=" << sim::SimdTierName(sim::ActiveSimdTier())
-            << (adaptive->has_value()
-                    ? " target_bound=" + FormatDouble(
-                          (*adaptive)->min_provable_completeness, 2)
-                    : " C=" + std::to_string(*candidates))
-            << " cache=" << *cache_size << " index="
-            << (loaded ? "snapshot load_ms=" +
-                             FormatDouble((*index)->load_seconds * 1e3, 2)
-                       : "built build_ms=" +
-                             FormatDouble((*index)->build_seconds * 1e3, 2) +
-                             (snapshot_path.empty()
-                                  ? ""
-                                  : " save_ms=" +
-                                        FormatDouble(
-                                            (*index)->save_seconds * 1e3,
-                                            2)))
+            << (adaptive.has_value()
+                    ? " target_bound=" +
+                          FormatDouble(adaptive->min_provable_completeness, 2)
+                    : " C=" + std::to_string(
+                                  config.engine_options.candidate_limit))
+            << " cache=" << stack->cache->capacity() << " index="
+            << (serving.source == "snapshot"
+                    ? "snapshot load_ms=" +
+                          FormatDouble(serving.load_seconds * 1e3, 2)
+                    : "built build_ms=" +
+                          FormatDouble(serving.build_seconds * 1e3, 2) +
+                          (snapshot_path.empty()
+                               ? ""
+                               : " save_ms=" + FormatDouble(
+                                                   serving.save_seconds * 1e3,
+                                                   2)))
             << std::endl;
 
   if (!listen_spec.empty()) {
-    return RunNetworkServe(service, listen_spec,
+    return RunNetworkServe(*stack->service, listen_spec,
                            static_cast<size_t>(*workers),
                            static_cast<size_t>(*queue_depth), *deadline_ms,
                            static_cast<size_t>(*max_line_bytes));
   }
-  return RunOfflineServe(service, cache, *in);
+  return RunOfflineServe(*stack->service, *stack->cache, request_file);
 }
 
 int CmdClient(const CommandLine& cl) {
@@ -1122,7 +1079,7 @@ int CmdStats(const CommandLine& cl) {
   if (repo_dir.empty()) {
     return Fail(Status::InvalidArgument("--repo required"));
   }
-  auto repo = LoadRepository(repo_dir);
+  auto repo = schema::LoadRepositoryDir(repo_dir);
   if (!repo.ok()) return Fail(repo.status());
   schema::PrintStats(schema::ComputeStats(*repo), std::cout);
   return 0;
@@ -1149,23 +1106,6 @@ Result<synth::StreamOptions> ParseStreamFlags(const CommandLine& cl,
   options.min_schema_elements = static_cast<size_t>(min_elems);
   options.max_schema_elements = static_cast<size_t>(max_elems);
   return options;
-}
-
-/// Parses `--target-mix=0.8,0.9,1.0` (empty flag = empty mix).
-Result<std::vector<double>> ParseTargetMixFlag(const CommandLine& cl) {
-  std::vector<double> mix;
-  const std::string raw = cl.Get("target-mix");
-  if (raw.empty()) return mix;
-  for (const std::string& piece : Split(raw, ',')) {
-    char* end = nullptr;
-    const double bound = std::strtod(piece.c_str(), &end);
-    if (end == piece.c_str() || *end != '\0') {
-      return Status::InvalidArgument("bad --target-mix entry '" + piece +
-                                     "'");
-    }
-    mix.push_back(bound);
-  }
-  return mix;
 }
 
 /// Parses `--classes=interactive:3:50,batch:1:0` (name:weight:deadline_ms).
@@ -1219,12 +1159,14 @@ int CmdTrace(const CommandLine& cl) {
   auto zipf_query = cl.GetDouble("zipf-query", 1.0);
   auto rate_qps = cl.GetDouble("rate-qps", 200.0);
   auto classes = ParseClassesFlag(cl);
-  auto target_mix = ParseTargetMixFlag(cl);
+  auto target_mix = eval::ParseTargetMix(cl.Get("target-mix"));
   if (!requests.ok()) return Fail(requests.status());
   if (!zipf_query.ok()) return Fail(zipf_query.status());
   if (!rate_qps.ok()) return Fail(rate_qps.status());
   if (!classes.ok()) return Fail(classes.status());
-  if (!target_mix.ok()) return Fail(target_mix.status());
+  if (!target_mix.ok()) {
+    return Fail(target_mix.status().WithContext("--target-mix"));
+  }
   trace_options.num_requests = *requests;
   trace_options.zipf_exponent = *zipf_query;
   trace_options.arrival_rate_qps = *rate_qps;
@@ -1420,58 +1362,13 @@ int CmdLoadtest(const CommandLine& cl) {
         "--trace replay needs --repo=DIR (in-process) or "
         "--connect=HOST:PORT (live)"));
   }
-  // Assemble the in-process service exactly like `matchbounds serve`.
-  match::MatchOptions options;
-  auto delta = cl.GetDouble("delta", 0.25);
-  if (!delta.ok()) return Fail(delta.status());
-  options.delta_threshold = *delta;
-  options.objective.name.synonyms = &BuiltinSynonyms();
-  auto factory_options = ParseMatcherOptions(cl);
-  if (!factory_options.ok()) return Fail(factory_options.status());
-  auto candidates = cl.GetUint("candidates", 16);
-  auto threads = cl.GetUint("threads", 1);
-  auto top = cl.GetUint("top", 0);
-  auto cache_size = cl.GetUint("cache-size", 64);
-  auto adaptive = ParseAdaptivePolicy(cl);
-  if (!candidates.ok()) return Fail(candidates.status());
-  if (!threads.ok()) return Fail(threads.status());
-  if (!top.ok()) return Fail(top.status());
-  if (!cache_size.ok()) return Fail(cache_size.status());
-  if (!adaptive.ok()) return Fail(adaptive.status());
-  serve::LoadShedPolicy shed;
-  shed.base_target = adaptive->has_value()
-                         ? (*adaptive)->min_provable_completeness
-                         : 1.0;
-  auto min_target = cl.GetDouble("min-target-bound", shed.base_target);
-  if (!min_target.ok()) return Fail(min_target.status());
-  shed.min_target = *min_target;
-  if (Status st = serve::ValidateLoadShedPolicy(shed); !st.ok()) {
-    return Fail(st);
-  }
-  serve::ServingIndexOptions index_options;
-  index_options.matcher_kind = cl.Get("matcher", "exhaustive");
-  index_options.factory_options = *factory_options;
-  index_options.name_options = options.objective.name;
-  index_options.num_threads = static_cast<size_t>(*threads);
-  auto index = serve::OpenServingIndex(repo_dir, cl.Get("snapshot"),
-                                       index_options, /*generation=*/1);
-  if (!index.ok()) return Fail(index.status());
-  engine::QueryResultCache cache(static_cast<size_t>(*cache_size));
-  serve::MatchServiceConfig service_config;
-  service_config.match_options = options;
-  service_config.engine_options.num_threads = static_cast<size_t>(*threads);
-  service_config.engine_options.global_top_k = static_cast<size_t>(*top);
-  service_config.engine_options.candidate_limit =
-      adaptive->has_value() ? 0 : static_cast<size_t>(*candidates);
-  service_config.engine_options.adaptive = *adaptive;
-  service_config.cache = &cache;
-  service_config.shed = shed;
-  service_config.index_options = index_options;
-  service_config.default_repo_dir = repo_dir;
-  serve::MatchService service(*index, service_config);
-  harness::InProcessTraceExecutor executor(&service, std::move(bindings));
+  // The in-process service opens exactly like `matchbounds serve`.
+  auto stack = OpenServiceStack(cl, repo_dir);
+  if (!stack.ok()) return Fail(stack.status());
+  harness::InProcessTraceExecutor executor(stack->service.get(),
+                                           std::move(bindings));
   return FinishReplay(cl, *trace, &executor,
-                      adaptive->has_value() ? "target" : "fixed");
+                      stack->service->adaptive() ? "target" : "fixed");
 }
 
 }  // namespace
