@@ -17,44 +17,14 @@ namespace {
 
 using Clock = SteadyClock;
 
-struct Shard {
-  int32_t first_schema = 0;
-  size_t schema_count = 0;
-};
-
-std::vector<Shard> PartitionSchemas(size_t schema_count, size_t shard_size) {
-  std::vector<Shard> shards;
+std::vector<match::SchemaRange> PartitionSchemas(size_t schema_count,
+                                                 size_t shard_size) {
+  std::vector<match::SchemaRange> shards;
   for (size_t base = 0; base < schema_count; base += shard_size) {
-    Shard shard;
-    shard.first_schema = static_cast<int32_t>(base);
-    shard.schema_count = std::min(shard_size, schema_count - base);
-    shards.push_back(shard);
+    shards.push_back({base, std::min(base + shard_size, schema_count)});
   }
   return shards;
 }
-
-/// A shard's window into per-query candidate lists: translates shard-local
-/// schema indices to the global ones the generator indexed (the sparse
-/// counterpart of ShardCostView).
-class ShardCandidateView : public match::CandidateProvider {
- public:
-  ShardCandidateView(const match::CandidateProvider* global,
-                     int32_t first_schema)
-      : global_(global), first_schema_(first_schema) {}
-
-  const std::vector<match::CandidateEntry>* CandidatesFor(
-      size_t pos, int32_t schema_index) const override {
-    return global_->CandidatesFor(pos, first_schema_ + schema_index);
-  }
-
-  double SkipLowerBound(size_t pos, int32_t schema_index) const override {
-    return global_->SkipLowerBound(pos, first_schema_ + schema_index);
-  }
-
- private:
-  const match::CandidateProvider* global_;
-  int32_t first_schema_;
-};
 
 }  // namespace
 
@@ -74,6 +44,12 @@ Result<match::AnswerSet> BatchMatchEngine::Run(
     return Status::InvalidArgument(
         "MatchOptions::candidates is managed by the batch engine and must "
         "be null on entry; set BatchMatchOptions::candidate_limit instead");
+  }
+  if (!match_options.schemas.covers_all()) {
+    return Status::InvalidArgument(
+        "MatchOptions::schemas is managed by the batch engine and must "
+        "cover the whole repository on entry; set "
+        "BatchMatchOptions::shard_size instead");
   }
   if (options_.prepared_repository != nullptr &&
       !options_.prepared_repository->BuiltOver(repo)) {
@@ -114,8 +90,8 @@ Result<match::AnswerSet> BatchMatchEngine::Run(
     // at least one schema per shard.
     shard_size = std::max<size_t>(1, repo.schema_count() / (threads * 4));
   }
-  std::vector<Shard> shards = PartitionSchemas(repo.schema_count(),
-                                               shard_size);
+  std::vector<match::SchemaRange> shards =
+      PartitionSchemas(repo.schema_count(), shard_size);
 
   BatchMatchStats local;
   local.shard_count = shards.size();
@@ -193,48 +169,33 @@ Result<match::AnswerSet> BatchMatchEngine::Run(
     local.shard_candidates_generated.assign(shards.size(), 0);
     for (size_t i = 0; i < shards.size(); ++i) {
       for (size_t pos = 0; pos < candidates->positions(); ++pos) {
-        for (size_t s = 0; s < shards[i].schema_count; ++s) {
+        for (size_t s = shards[i].begin; s < shards[i].end; ++s) {
           local.shard_candidates_generated[i] +=
-              candidates
-                  ->CandidatesFor(pos, shards[i].first_schema +
-                                           static_cast<int32_t>(s))
-                  ->size();
+              candidates->CandidatesFor(pos, static_cast<int32_t>(s))->size();
         }
       }
     }
   }
 
-  // Phase 2: workers claim shards off a shared counter. Every slot below is
-  // written by exactly one worker, so no locking is needed.
+  // Phase 2: workers claim shards off a shared counter. A shard is a
+  // schema range of the one repository: the matcher reads the global pool
+  // or candidate lists directly and emits global schema indices. Every
+  // slot below is written by exactly one worker, so no locking is needed.
   std::vector<Result<match::AnswerSet>> shard_answers(
       shards.size(), Status::Internal("shard never ran"));
   std::vector<match::MatchStats> shard_stats(shards.size());
+  match::MatchOptions shard_options = match_options;
+  if (pool) shard_options.shared_costs = &*pool;
+  if (candidates) shard_options.candidates = &*candidates;
   Clock::time_point match_start = Clock::now();
   ParallelFor(shards.size(), threads, [&](size_t i, size_t) {
-    const Shard& shard = shards[i];
-    schema::SchemaRepository shard_repo;
-    for (size_t s = 0; s < shard.schema_count; ++s) {
-      auto added = shard_repo.Add(
-          repo.schema(shard.first_schema + static_cast<int32_t>(s)));
-      if (!added.ok()) {
-        shard_answers[i] = added.status().WithContext(
-            "while building repository shard " + std::to_string(i));
-        return;
-      }
-    }
-    ShardCostView cost_view(pool ? &*pool : nullptr, shard.first_schema);
-    ShardCandidateView candidate_view(candidates ? &*candidates : nullptr,
-                                      shard.first_schema);
-    match::MatchOptions shard_options = match_options;
-    if (pool) shard_options.shared_costs = &cost_view;
-    if (candidates) shard_options.candidates = &candidate_view;
-    shard_answers[i] =
-        matcher.Match(query, shard_repo, shard_options, &shard_stats[i]);
+    match::MatchOptions options = shard_options;
+    options.schemas = shards[i];
+    shard_answers[i] = matcher.Match(query, repo, options, &shard_stats[i]);
   });
   local.match_seconds = SecondsSince(match_start);
 
-  // Merge: first error (by shard order) wins; otherwise translate each
-  // shard-local schema index back to the global repository and re-rank.
+  // Merge: first error (by shard order) wins; otherwise re-rank globally.
   match::AnswerSet merged;
   for (size_t i = 0; i < shards.size(); ++i) {
     if (!shard_answers[i].ok()) {
@@ -245,9 +206,7 @@ Result<match::AnswerSet> BatchMatchEngine::Run(
     }
     local.match += shard_stats[i];
     for (const match::Mapping& mapping : shard_answers[i]->mappings()) {
-      match::Mapping global = mapping;
-      global.schema_index += shards[i].first_schema;
-      merged.Add(std::move(global));
+      merged.Add(mapping);
     }
   }
   merged.Finalize();

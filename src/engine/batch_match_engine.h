@@ -19,15 +19,16 @@
 ///
 /// The matchers process repository schemas independently, so a matching run
 /// parallelizes by splitting the repository into contiguous shards and
-/// running the matcher on each shard from a worker-thread pool. Per-shard
-/// answer sets are merged — schema indices translated back to the global
-/// repository — into one globally ranked answer set, optionally cut to a
-/// global top-k.
+/// running the matcher on each shard from a worker-thread pool. A shard is
+/// a schema range of the one repository (`MatchOptions::schemas`): nothing
+/// is copied per shard, and the matcher emits global schema indices, so
+/// the per-shard answer sets merge as they are into one globally ranked
+/// answer set, optionally cut to a global top-k.
 ///
 /// Costs reach the workers one of two ways:
 ///  * **dense** (default): name/type costs are precomputed once in a shared
-///    `SimilarityMatrixPool` (itself built in parallel) and handed to every
-///    worker as immutable views — no similarity is computed twice, and the
+///    `SimilarityMatrixPool` (itself built in parallel) that every worker
+///    reads directly — no similarity is computed twice, and the
 ///    merged answers are *identical* (keys and Δ) to a direct
 ///    single-threaded `matcher.Match(query, repo, ...)` run for any
 ///    shard-safe matcher, for every thread count and shard size;
@@ -132,8 +133,9 @@ class BatchMatchEngine {
       : options_(options) {}
 
   /// \brief Matches `query` against `repo` with `matcher`, sharded across
-  /// worker threads. `match_options.shared_costs` and
-  /// `match_options.candidates` are managed by the engine and must be null.
+  /// worker threads. `match_options.shared_costs`,
+  /// `match_options.candidates` and `match_options.schemas` are managed by
+  /// the engine and must be at their defaults (null, null, every schema).
   /// On any shard failure the first error (by shard order) is returned.
   /// `stats`, when non-null, is written on *every* exit path — on failure
   /// it describes the work completed before the error (callers reusing one

@@ -27,13 +27,15 @@ Result<AnswerSet> BeamMatcher::Match(const schema::Schema& query,
     return Status::InvalidArgument("beam_width must be positive");
   }
   ObjectiveFunction objective(&query, &repo, options.objective,
-                              options.shared_costs, options.candidates);
+                              options.shared_costs, options.candidates,
+                              options.schemas);
   const size_t m = objective.query_preorder().size();
   const double budget =
       options.delta_threshold * objective.normalizer() + 1e-12;
 
   AnswerSet answers;
-  for (size_t si = 0; si < repo.schema_count(); ++si) {
+  const size_t end = options.schemas.end_in(repo.schema_count());
+  for (size_t si = options.schemas.begin; si < end; ++si) {
     const auto schema_index = static_cast<int32_t>(si);
     const schema::Schema& s = repo.schema(schema_index);
 

@@ -26,6 +26,11 @@ Result<AnswerSet> ClusterMatcher::Match(const schema::Schema& query,
                                         const MatchOptions& options,
                                         MatchStats* stats) const {
   SMB_RETURN_IF_ERROR(ValidateInputs(query, repo, options));
+  if (!options.schemas.covers_all()) {
+    return Status::InvalidArgument(
+        "cluster matcher runs over the whole repository; it takes no schema "
+        "range");
+  }
   if (clustering_ == nullptr) {
     return Status::FailedPrecondition("cluster matcher has no clustering");
   }

@@ -1,5 +1,6 @@
 #include "match/exhaustive_matcher.h"
 
+#include <algorithm>
 #include <vector>
 
 /// \file exhaustive_matcher.cc
@@ -26,54 +27,91 @@ Status Matcher::ValidateInputs(const schema::Schema& query,
   if (options.delta_threshold < 0.0) {
     return Status::InvalidArgument("delta_threshold must be non-negative");
   }
+  const SchemaRange& range = options.schemas;
+  const size_t range_end = range.end_in(repo.schema_count());
+  if (range.begin > range_end || range_end > repo.schema_count()) {
+    return Status::InvalidArgument(
+        "schema range [" + std::to_string(range.begin) + ", " +
+        std::to_string(range_end) + ") is outside the repository of " +
+        std::to_string(repo.schema_count()) + " schemas");
+  }
   SMB_RETURN_IF_ERROR(query.Validate());
   return Status::OK();
 }
 
 namespace {
 
-/// Depth-first enumeration of assignments within one repository schema —
-/// over the full node set, or over sparse candidate lists when a
-/// `CandidateProvider` is attached to the objective.
+/// Slack (cost units) on the lookahead test: the bound sums per-position
+/// minima in another order than the search accumulates costs, so rounding
+/// must never turn an answer sitting exactly on the budget into a prune.
+constexpr double kLookaheadSlack = 1e-9;
+
+/// Depth-first enumeration of assignments within one repository schema at
+/// a time — over the full node set, or over sparse candidate lists when a
+/// `CandidateProvider` is attached to the objective. One instance serves
+/// every schema of a run, reusing its buffers.
 class SchemaEnumerator {
  public:
-  SchemaEnumerator(const ObjectiveFunction& objective, int32_t schema_index,
+  SchemaEnumerator(const ObjectiveFunction& objective,
                    const MatchOptions& options, bool use_pruning,
                    AnswerSet* out, MatchStats* stats)
       : objective_(objective),
-        schema_index_(schema_index),
         options_(options),
         use_pruning_(use_pruning),
         out_(out),
-        stats_(stats) {
-    const auto& s = objective_.repo().schema(schema_index_);
-    schema_size_ = s.size();
-    used_.assign(schema_size_, false);
-    targets_.assign(objective_.query_preorder().size(), schema::kInvalidNode);
+        stats_(stats),
+        positions_(objective.query_preorder().size()) {
+    targets_.assign(positions_, schema::kInvalidNode);
+    lists_.resize(positions_);
+    rows_.resize(positions_);
+    rest_.assign(positions_ + 1, 0.0);
     cost_budget_ = options_.delta_threshold * objective_.normalizer() + 1e-12;
+    lookahead_budget_ = cost_budget_ + kLookaheadSlack;
   }
 
-  void Run() {
-    // With candidate lists, a position with no candidates makes the whole
-    // schema infeasible — skip it without exploring the earlier positions.
-    if (const CandidateProvider* provider = objective_.candidates()) {
-      const size_t m = objective_.query_preorder().size();
-      for (size_t pos = 0; pos < m; ++pos) {
-        const std::vector<CandidateEntry>* list =
-            provider->CandidatesFor(pos, schema_index_);
-        if (list != nullptr && list->empty()) return;
-      }
+  void Run(int32_t schema_index) {
+    schema_index_ = schema_index;
+    const size_t schema_size = objective_.repo().schema(schema_index).size();
+    // Each position reads a candidate list (sorted by cost) or, without
+    // lists, a dense node-cost row. A position with an empty list makes the
+    // whole schema infeasible — skip it without exploring.
+    const CandidateProvider* provider = objective_.candidates();
+    for (size_t pos = 0; pos < positions_; ++pos) {
+      lists_[pos] = provider != nullptr
+                        ? provider->CandidatesFor(pos, schema_index)
+                        : nullptr;
+      if (lists_[pos] != nullptr && lists_[pos]->empty()) return;
     }
+    // Lookahead: rest_[p] = Σ_{q≥p} w_name · (cheapest node cost of q).
+    // Rows are fetched in position order so a schema whose minima alone
+    // exceed the budget is dropped before its later rows are computed.
+    const double weight_name = objective_.options().weight_name;
+    double minima = 0.0;
+    for (size_t pos = 0; pos < positions_; ++pos) {
+      double cheapest;
+      if (lists_[pos] != nullptr) {
+        cheapest = lists_[pos]->front().cost;
+      } else {
+        rows_[pos] = objective_.NodeCostRow(pos, schema_index);
+        cheapest = *std::min_element(rows_[pos], rows_[pos] + schema_size);
+      }
+      rest_[pos] = weight_name * cheapest;
+      minima += rest_[pos];
+      if (use_pruning_ && minima > lookahead_budget_) return;
+    }
+    for (size_t pos = positions_; pos-- > 0;) rest_[pos] += rest_[pos + 1];
+    used_.assign(schema_size, false);
     Recurse(0, 0.0);
   }
 
  private:
-  /// One step of the recursion for a fixed target with a known node cost.
+  /// One step of the recursion for a fixed target with a known cost.
   void Visit(size_t pos, double cost_so_far, schema::NodeId target,
              double assign_cost) {
     if (stats_ != nullptr) ++stats_->states_explored;
     double cost = cost_so_far + assign_cost;
-    if (use_pruning_ && cost > cost_budget_) {
+    if (use_pruning_ && (cost > cost_budget_ ||
+                         cost + rest_[pos + 1] > lookahead_budget_)) {
       if (stats_ != nullptr) ++stats_->states_pruned;
       return;
     }
@@ -84,8 +122,7 @@ class SchemaEnumerator {
   }
 
   void Recurse(size_t pos, double cost_so_far) {
-    const size_t m = objective_.query_preorder().size();
-    if (pos == m) {
+    if (pos == positions_) {
       Mapping mapping;
       mapping.schema_index = schema_index_;
       mapping.targets = targets_;
@@ -99,12 +136,20 @@ class SchemaEnumerator {
     if (parent_pos != ObjectiveFunction::kNoParent) {
       parent_target = targets_[parent_pos];
     }
-    const std::vector<CandidateEntry>* list = nullptr;
-    if (const CandidateProvider* provider = objective_.candidates()) {
-      list = provider->CandidatesFor(pos, schema_index_);
-    }
-    if (list != nullptr) {
+    if (const std::vector<CandidateEntry>* list = lists_[pos]) {
+      const double weight_name = objective_.options().weight_name;
       for (const CandidateEntry& entry : *list) {
+        // The list ascends by cost and edge costs are ≥ 0: once an entry's
+        // node cost alone breaks the bound, so does every later entry.
+        const double bound =
+            cost_so_far + weight_name * entry.cost + rest_[pos + 1];
+        if (use_pruning_ && bound > lookahead_budget_) {
+          if (stats_ != nullptr) {
+            ++stats_->states_explored;
+            ++stats_->states_pruned;
+          }
+          return;
+        }
         if (options_.injective && used_[static_cast<size_t>(entry.node)]) {
           continue;
         }
@@ -114,24 +159,33 @@ class SchemaEnumerator {
       }
       return;
     }
-    for (size_t i = 0; i < schema_size_; ++i) {
-      const auto target = static_cast<schema::NodeId>(i);
+    const double* row = rows_[pos];
+    for (size_t i = 0; i < used_.size(); ++i) {
       if (options_.injective && used_[i]) continue;
+      const auto target = static_cast<schema::NodeId>(i);
       Visit(pos, cost_so_far, target,
-            objective_.AssignCost(pos, schema_index_, target, parent_target));
+            objective_.AssignCostWithNodeCost(schema_index_, target,
+                                              parent_target, row[i]));
     }
   }
 
   const ObjectiveFunction& objective_;
-  int32_t schema_index_;
   const MatchOptions& options_;
   bool use_pruning_;
   AnswerSet* out_;
   MatchStats* stats_;
-  size_t schema_size_ = 0;
+  size_t positions_;
+  int32_t schema_index_ = 0;
   std::vector<bool> used_;
   std::vector<schema::NodeId> targets_;
+  /// Per position: the candidate list, or (dense) the node-cost row.
+  std::vector<const std::vector<CandidateEntry>*> lists_;
+  std::vector<const double*> rows_;
+  /// rest_[p]: lower bound on the cost of positions p..m−1 (0 past the
+  /// end); read only when pruning.
+  std::vector<double> rest_;
   double cost_budget_ = 0.0;
+  double lookahead_budget_ = 0.0;
 };
 
 }  // namespace
@@ -142,12 +196,14 @@ Result<AnswerSet> ExhaustiveMatcher::Match(const schema::Schema& query,
                                            MatchStats* stats) const {
   SMB_RETURN_IF_ERROR(ValidateInputs(query, repo, options));
   ObjectiveFunction objective(&query, &repo, options.objective,
-                              options.shared_costs, options.candidates);
+                              options.shared_costs, options.candidates,
+                              options.schemas);
   AnswerSet answers;
-  for (size_t s = 0; s < repo.schema_count(); ++s) {
-    SchemaEnumerator enumerator(objective, static_cast<int32_t>(s), options,
-                                options_.use_pruning, &answers, stats);
-    enumerator.Run();
+  SchemaEnumerator enumerator(objective, options, options_.use_pruning,
+                              &answers, stats);
+  const size_t end = options.schemas.end_in(repo.schema_count());
+  for (size_t s = options.schemas.begin; s < end; ++s) {
+    enumerator.Run(static_cast<int32_t>(s));
   }
   // Without pruning, over-threshold mappings were emitted too; filter them.
   if (!options_.use_pruning) {

@@ -27,6 +27,13 @@ struct MatchOptions {
   /// Upper bound on the query size the enumerating matchers accept
   /// (the search space is |schema|^m per repository schema).
   size_t max_query_elements = 12;
+  /// Repository schemas this run covers, by index into `repo`. Answers
+  /// always carry `repo` indices, whatever the range. Managed by the batch
+  /// engine, which runs each shard as one range: it must be the default
+  /// (every schema) on entry to `BatchMatchEngine::Run`. A range outside
+  /// the repository is `InvalidArgument`; matchers with cross-schema state
+  /// (cluster) reject any range but the default.
+  SchemaRange schemas;
   /// Optional precomputed node-cost matrices (engine::SimilarityMatrixPool).
   /// When set, matchers read name+type costs from it instead of filling the
   /// objective's lazy per-instance cache; the provider must outlive the
@@ -45,11 +52,16 @@ struct MatchOptions {
 /// \brief Counters describing the work a matcher performed; the currency of
 /// the efficiency benches.
 struct MatchStats {
-  /// Partial assignments expanded (search-tree nodes).
+  /// Partial assignments expanded (search-tree nodes). The exhaustive
+  /// matcher stops walking a sorted candidate list at the first entry whose
+  /// lower bound exceeds the budget: that entry counts as explored and
+  /// pruned, the entries after it as neither. Schemas it skips outright
+  /// (their cheapest conceivable mapping is over the budget) add nothing.
   uint64_t states_explored = 0;
   /// Complete mappings whose Δ passed the threshold.
   uint64_t mappings_emitted = 0;
-  /// Partial assignments cut by the admissible Δ-bound.
+  /// Explored partial assignments cut by an admissible Δ-bound (the prefix
+  /// cost, or for the exhaustive matcher also the lookahead bound).
   uint64_t states_pruned = 0;
   /// Candidate entries produced by the repository index for this run
   /// (Σ per-(position, schema) list sizes); 0 on dense runs. Filled by the
@@ -78,11 +90,11 @@ class Matcher {
   /// Short system name for reports ("exhaustive", "beam-8", ...).
   virtual std::string name() const = 0;
 
-  /// \brief True when Match treats repository schemas independently, so the
-  /// batch engine may split the repository into shards and run them on
-  /// worker threads. Matchers that consult cross-schema state indexed by
-  /// global schema position (e.g. a prebuilt clustering) must return false;
-  /// the engine then falls back to one single-threaded whole-repository run.
+  /// \brief True when Match treats repository schemas independently and
+  /// honours `MatchOptions::schemas`, so the batch engine may run schema
+  /// ranges on worker threads. Matchers that consult cross-schema state
+  /// (e.g. a prebuilt clustering) must return false and reject a range; the
+  /// engine then falls back to one single-threaded whole-repository run.
   virtual bool SupportsSharding() const { return true; }
 
   /// \brief Solves matching problem Q: returns the ranked answer set of all

@@ -78,12 +78,14 @@ ObjectiveFunction::ObjectiveFunction(const schema::Schema* query,
                                      const schema::SchemaRepository* repo,
                                      ObjectiveOptions options,
                                      const NodeCostProvider* shared_costs,
-                                     const CandidateProvider* candidates)
+                                     const CandidateProvider* candidates,
+                                     SchemaRange schemas)
     : query_(query),
       repo_(repo),
       options_(std::move(options)),
       shared_costs_(shared_costs),
-      candidates_(candidates) {
+      candidates_(candidates),
+      cache_first_(schemas.begin) {
   assert(query_ != nullptr && repo_ != nullptr);
   preorder_ = query_->PreOrder();
   // Map NodeId -> pre-order position, then derive parent positions.
@@ -104,7 +106,17 @@ ObjectiveFunction::ObjectiveFunction(const schema::Schema* query,
     normalizer_ += options_.weight_structure * (m - 1.0);
   }
   if (normalizer_ <= 0.0) normalizer_ = 1.0;
-  cache_.resize(repo_->schema_count());
+  const size_t end = schemas.end_in(repo_->schema_count());
+  assert(cache_first_ <= end && end <= repo_->schema_count());
+  cache_.resize(end - cache_first_);
+}
+
+double* ObjectiveFunction::LazyRow(size_t pos, int32_t schema_index) const {
+  const size_t size = repo_->schema(schema_index).size();
+  assert(static_cast<size_t>(schema_index) >= cache_first_);
+  auto& schema_cache = cache_[static_cast<size_t>(schema_index) - cache_first_];
+  if (schema_cache.empty()) schema_cache.assign(preorder_.size() * size, -1.0);
+  return schema_cache.data() + pos * size;
 }
 
 double ObjectiveFunction::NodeCost(size_t pos, int32_t schema_index,
@@ -115,16 +127,31 @@ double ObjectiveFunction::NodeCost(size_t pos, int32_t schema_index,
       return matrix[pos * s.size() + static_cast<size_t>(target)];
     }
   }
-  auto& schema_cache = cache_[static_cast<size_t>(schema_index)];
-  if (schema_cache.empty()) {
-    schema_cache.assign(preorder_.size() * s.size(), -1.0);
+  double& slot = LazyRow(pos, schema_index)[static_cast<size_t>(target)];
+  if (slot < 0.0) {
+    slot = ComputeNodeCost(query_->node(preorder_[pos]), s.node(target),
+                           options_);
   }
-  double& slot = schema_cache[pos * s.size() + static_cast<size_t>(target)];
-  if (slot >= 0.0) return slot;
-
-  slot = ComputeNodeCost(query_->node(preorder_[pos]), s.node(target),
-                         options_);
   return slot;
+}
+
+const double* ObjectiveFunction::NodeCostRow(size_t pos,
+                                             int32_t schema_index) const {
+  const schema::Schema& s = repo_->schema(schema_index);
+  if (shared_costs_ != nullptr) {
+    if (const double* matrix = shared_costs_->NodeCostMatrix(schema_index)) {
+      return matrix + pos * s.size();
+    }
+  }
+  double* row = LazyRow(pos, schema_index);
+  const schema::SchemaNode& q = query_->node(preorder_[pos]);
+  for (size_t t = 0; t < s.size(); ++t) {
+    if (row[t] < 0.0) {
+      row[t] = ComputeNodeCost(q, s.node(static_cast<schema::NodeId>(t)),
+                               options_);
+    }
+  }
+  return row;
 }
 
 double ObjectiveFunction::EdgeCost(int32_t schema_index,

@@ -179,22 +179,40 @@ class CandidateProvider {
   virtual double SkipLowerBound(size_t pos, int32_t schema_index) const = 0;
 };
 
+/// \brief A contiguous run `[begin, end)` of repository schema indices —
+/// the slice of the repository one matcher run covers. The default covers
+/// every schema; the batch engine gives each shard its own range.
+struct SchemaRange {
+  /// `end` value meaning "the repository's last schema".
+  static constexpr size_t kRepositoryEnd = static_cast<size_t>(-1);
+  size_t begin = 0;
+  size_t end = kRepositoryEnd;
+
+  bool covers_all() const { return begin == 0 && end == kRepositoryEnd; }
+  /// `end` with `kRepositoryEnd` resolved against `schema_count`.
+  size_t end_in(size_t schema_count) const {
+    return end == kRepositoryEnd ? schema_count : end;
+  }
+};
+
 /// \brief Evaluates Δ for mappings of one query schema into one repository.
 ///
 /// Name costs come from an attached `NodeCostProvider` when one is given
 /// (shared, immutable, thread-safe); otherwise they are cached lazily per
 /// (query element, repository element) inside the instance, which is *not*
-/// thread-safe. Matchers running under the batch engine always receive a
-/// provider.
+/// thread-safe. Matchers running under the batch engine receive a provider
+/// unless `BatchMatchOptions::share_similarity_matrices` is off.
 class ObjectiveFunction {
  public:
   /// `query`, `repo`, `shared_costs` and `candidates` (when non-null) must
-  /// outlive the objective.
+  /// outlive the objective. `schemas` (a valid range of `repo`) sizes the
+  /// lazy cache: costs are only asked for schemas inside it.
   ObjectiveFunction(const schema::Schema* query,
                     const schema::SchemaRepository* repo,
                     ObjectiveOptions options = {},
                     const NodeCostProvider* shared_costs = nullptr,
-                    const CandidateProvider* candidates = nullptr);
+                    const CandidateProvider* candidates = nullptr,
+                    SchemaRange schemas = {});
 
   /// Query elements in pre-order (position 0 is the root).
   const std::vector<schema::NodeId>& query_preorder() const {
@@ -213,6 +231,12 @@ class ObjectiveFunction {
   /// in schema `schema_index` (cached). In [0, 1].
   double NodeCost(size_t pos, int32_t schema_index,
                   schema::NodeId target) const;
+
+  /// \brief Every node cost of query position `pos` in schema
+  /// `schema_index`, indexed by target NodeId: the provider's matrix row,
+  /// or the lazy cache's row (filled in full on this call). Valid as long
+  /// as the objective.
+  const double* NodeCostRow(size_t pos, int32_t schema_index) const;
 
   /// \brief Structural cost of a query edge whose endpoints map to
   /// `parent_target` and `child_target` in the same schema. In [0, 1].
@@ -257,9 +281,13 @@ class ObjectiveFunction {
   std::vector<schema::NodeId> preorder_;
   std::vector<size_t> parent_position_;
   double normalizer_ = 1.0;
+  /// Row `pos` of the lazy cache for `schema_index`, allocated on first use.
+  double* LazyRow(size_t pos, int32_t schema_index) const;
+
   /// Lazy fallback when no provider is attached:
-  /// cache_[schema_index][pos * schema_size + node] = node cost; empty until
-  /// the schema is first touched.
+  /// cache_[schema_index - cache_first_][pos * schema_size + node] = node
+  /// cost (−1 until computed); empty until the schema is first touched.
+  size_t cache_first_ = 0;
   mutable std::vector<std::vector<double>> cache_;
 };
 

@@ -177,7 +177,10 @@ TEST(BatchMatchEngineTest, PropagatesMatcherErrors) {
   schema::SchemaRepository repo = MakeRepo();
   match::MatchOptions mopts;
   match::ExhaustiveMatcher matcher;
-  BatchMatchEngine engine(BatchMatchOptions{4, 1, 0, true});
+  BatchMatchOptions bopts;
+  bopts.num_threads = 4;
+  bopts.shard_size = 1;
+  BatchMatchEngine engine(bopts);
   auto batched = engine.Run(matcher, query, repo, mopts);
   ASSERT_FALSE(batched.ok());
   EXPECT_EQ(batched.status().code(), StatusCode::kInvalidArgument);

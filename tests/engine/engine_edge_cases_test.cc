@@ -167,8 +167,8 @@ TEST(EngineEdgeCasesTest, GeneratorRejectsEmptyQueryAndZeroLimit) {
 }
 
 TEST(EngineEdgeCasesTest, SingleElementShardsSurviveTheMerge) {
-  // One shard per schema on several threads: every merge path (index
-  // translation, stats accumulation, completeness fraction) runs on the
+  // One shard per schema on several threads: every merge path (one-schema
+  // ranges, stats accumulation, completeness fraction) runs on the
   // smallest possible shards, for both the dense and the sparse phase.
   schema::Schema query = MakeQuery();
   schema::SchemaRepository repo = MakeRepo();
